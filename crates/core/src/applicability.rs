@@ -13,10 +13,18 @@
 //! the deterministic fragment's probes — is interned into **one**
 //! [`IndexSpecs`] table, so a single incrementally maintained
 //! [`InstanceIndex`] serves the entire chase step.
+//!
+//! The stepping loops do not recompute `App(D)` from scratch: a
+//! [`ChaseState`] keeps it as one pair list per rule beside its instance
+//! and index, and refreshes a rule only after a fact lands in a relation
+//! the rule depends on. [`applicable_pairs`] stays the from-scratch
+//! definition and the oracle the cache is tested against.
 
-use gdatalog_data::{Instance, Tuple, Value};
-use gdatalog_datalog::{BodyPlan, IndexSpecs, InstanceIndex, PlannedProgram, Term as DlTerm};
-use gdatalog_lang::{CompiledProgram, CompiledRule, RuleKind};
+use gdatalog_data::{Instance, RelId, Tuple, Value};
+use gdatalog_datalog::{
+    BodyPlan, Delta, IndexSpecs, InstanceIndex, PlannedProgram, Term as DlTerm,
+};
+use gdatalog_lang::{CompiledProgram, RuleKind};
 
 /// An applicable pair `(rule, ā)`: rule id plus the valuation of the
 /// rule's body variables (outcome variables of delivery rules are bound by
@@ -72,6 +80,15 @@ pub struct PreparedProgram {
     /// relation on its full key (None for deterministic rules and for
     /// empty keys, which degrade to a relation-emptiness test).
     head_probe: Vec<Option<usize>>,
+    /// The rules whose applicable pairs can change when a fact lands in a
+    /// relation, grouped by relation: relation `r`'s entries are
+    /// `dependents[dependent_starts[r]..dependent_starts[r + 1]]`. Each
+    /// entry is a rule flagged with whether it reads the relation in its
+    /// body; the others only probe it as head — deterministic rules with
+    /// it as head relation, existential rules with it as auxiliary
+    /// relation.
+    dependents: Vec<(usize, bool)>,
+    dependent_starts: Vec<usize>,
     det: PlannedProgram,
 }
 
@@ -96,6 +113,28 @@ impl PreparedProgram {
                 _ => None,
             })
             .collect();
+        // (relation, rule, read in body), one entry per pair: sorting puts
+        // a body read before a head probe of the same rule.
+        let mut deps: Vec<(RelId, usize, bool)> = Vec::new();
+        for (rule_ix, rule) in program.rules.iter().enumerate() {
+            let head_rel = match &rule.kind {
+                RuleKind::Deterministic { head } => head.rel,
+                RuleKind::Existential(e) => e.aux_rel,
+            };
+            deps.extend(rule.body.iter().map(|a| (a.rel, rule_ix, true)));
+            deps.push((head_rel, rule_ix, false));
+        }
+        deps.sort_unstable_by_key(|&(rel, rule, in_body)| (rel, rule, !in_body));
+        deps.dedup_by_key(|&mut (rel, rule, _)| (rel, rule));
+        let n_rels = deps.last().map_or(0, |&(rel, ..)| rel.index() + 1);
+        let mut dependent_starts = vec![0; n_rels + 1];
+        for &(rel, ..) in &deps {
+            dependent_starts[rel.index() + 1] += 1;
+        }
+        for r in 0..n_rels {
+            dependent_starts[r + 1] += dependent_starts[r];
+        }
+        let dependents = deps.into_iter().map(|(_, rule, b)| (rule, b)).collect();
         let det = PlannedProgram::new(
             &crate::saturate::deterministic_fragment(program),
             &mut specs,
@@ -104,6 +143,8 @@ impl PreparedProgram {
             specs,
             plans,
             head_probe,
+            dependents,
+            dependent_starts,
             det,
         }
     }
@@ -129,25 +170,38 @@ impl PreparedProgram {
         InstanceIndex::built(&self.specs, instance)
     }
 
-    /// Whether the head of `rule` is satisfied in `instance` under
-    /// `valuation` (the `D ⊨ φ̂h(ā)` test of §3.3).
-    pub fn head_satisfied(
+    /// The rules whose applicable pairs may change when a fact is
+    /// inserted into `rel`, in ascending rule order, each with whether it
+    /// reads `rel` in its body (else it only probes `rel` as head).
+    pub(crate) fn dependents(&self, rel: RelId) -> &[(usize, bool)] {
+        match self.dependent_starts.get(rel.index() + 1) {
+            Some(&end) => &self.dependents[self.dependent_starts[rel.index()]..end],
+            None => &[],
+        }
+    }
+
+    /// Whether the head of rule `rule_ix` is satisfied in `instance` under
+    /// `valuation` (the `D ⊨ φ̂h(ā)` test of §3.3). `key` is scratch space
+    /// for the instantiated head fact or key, reused across probes.
+    fn head_satisfied(
         &self,
+        program: &CompiledProgram,
         rule_ix: usize,
-        rule: &CompiledRule,
         valuation: &Tuple,
         instance: &Instance,
         index: &InstanceIndex,
+        key: &mut Vec<Value>,
     ) -> bool {
-        match &rule.kind {
+        key.clear();
+        match &program.rules[rule_ix].kind {
             RuleKind::Deterministic { head } => {
-                let fact: Tuple = head.args.iter().map(|t| eval_term(t, valuation)).collect();
-                instance.contains(head.rel, &fact)
+                key.extend(head.args.iter().map(|t| eval_term(t, valuation)));
+                instance.contains_values(head.rel, key)
             }
             RuleKind::Existential(e) => match self.head_probe[rule_ix] {
                 Some(spec) => {
-                    let key = eval_terms(&e.key_terms, valuation);
-                    index.contains_key(spec, &key)
+                    key.extend(e.key_terms.iter().map(|t| eval_term(t, valuation)));
+                    index.contains_key(spec, key)
                 }
                 None => instance.relation_len(e.aux_rel) > 0,
             },
@@ -164,7 +218,6 @@ impl PreparedProgram {
         index: &InstanceIndex,
         out: &mut Vec<AppPair>,
     ) {
-        let rule = &program.rules[rule_ix];
         let seen_start = out.len();
         self.plans[rule_ix].for_each_match(instance, index, &mut |binding| {
             out.push(AppPair {
@@ -173,16 +226,25 @@ impl PreparedProgram {
             });
         });
         // Dedup repeated valuations (a body can match the same binding
-        // through different derivations) and drop head-satisfied pairs.
-        out[seen_start..].sort();
+        // through different derivations) and drop head-satisfied pairs,
+        // compacting the survivors in place. Equal pairs are identical,
+        // so an unstable sort yields the same order as a stable one.
+        out[seen_start..].sort_unstable();
+        let mut key = Vec::new();
         let mut kept = seen_start;
         for i in seen_start..out.len() {
-            let pair = out[i].clone();
-            if kept > seen_start && out[kept - 1] == pair {
+            if kept > seen_start && out[kept - 1] == out[i] {
                 continue;
             }
-            if !self.head_satisfied(rule_ix, rule, &pair.valuation, instance, index) {
-                out[kept] = pair;
+            if !self.head_satisfied(
+                program,
+                rule_ix,
+                &out[i].valuation,
+                instance,
+                index,
+                &mut key,
+            ) {
+                out.swap(kept, i);
                 kept += 1;
             }
         }
@@ -223,6 +285,232 @@ impl PreparedProgram {
             }
         }
         out
+    }
+}
+
+/// How stale one rule's cached pair list is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Stale {
+    /// The list is current.
+    Clean,
+    /// Only the relation the rule's head probes grew: the body matches
+    /// are unchanged, and a pair can only have become blocked.
+    Head,
+    /// A body relation grew: the rule must be re-enumerated.
+    Body,
+}
+
+/// `App(D)` kept across chase steps as one pair list per rule.
+///
+/// A rule's list depends only on its body relations and on the relation
+/// its head probe reads: the head relation of a deterministic rule, the
+/// auxiliary relation of an existential rule ([`PreparedProgram::new`]
+/// tabulates these once). So a fresh fact marks just the rules depending
+/// on its relation stale, and the next [`ChaseState::app`] refreshes only
+/// those: a rule with a new fact in a body relation is re-enumerated; a
+/// rule whose head relation alone grew keeps its body matches, so its
+/// list is only filtered by the head probe (instances only grow, so a
+/// blocked pair never comes back). The lists are stored concatenated in
+/// rule order, which is exactly the canonical order of
+/// [`PreparedProgram::applicable_pairs`] — policies see the same slice,
+/// and draws and worlds stay bit-identical.
+///
+/// The cache must follow its instance and index in lockstep — every fresh
+/// insert and every saturation pass must reach it — so it lives only
+/// inside the [`ChaseState`] that owns all three.
+#[derive(Debug, Clone)]
+struct AppCache {
+    /// The per-rule lists, concatenated in rule order.
+    pairs: Vec<AppPair>,
+    /// Length of each rule's list within `pairs`.
+    lens: Vec<usize>,
+    /// Whether each rule takes part (all rules, or the existential rules
+    /// for the saturating chase); other rules keep an empty list.
+    tracked: Vec<bool>,
+    /// How stale each rule's list is.
+    stale: Vec<Stale>,
+    /// Whether any rule is stale (a clean step skips the scan).
+    any_stale: bool,
+    /// Reused buffer for one rule's re-enumeration.
+    scratch: Vec<AppPair>,
+}
+
+impl AppCache {
+    /// A cache over the rules flagged in `tracked`, all stale.
+    fn tracking(tracked: Vec<bool>) -> AppCache {
+        let mut cache = AppCache {
+            pairs: Vec::new(),
+            lens: vec![0; tracked.len()],
+            stale: vec![Stale::Clean; tracked.len()],
+            tracked,
+            any_stale: false,
+            scratch: Vec::new(),
+        };
+        cache.invalidate();
+        cache
+    }
+
+    /// Records that a **new** fact was inserted into `rel`: marks the
+    /// tracked rules depending on `rel` stale.
+    fn note_insert(&mut self, prepared: &PreparedProgram, rel: RelId) {
+        for &(rule, in_body) in prepared.dependents(rel) {
+            if self.tracked[rule] {
+                let level = if in_body { Stale::Body } else { Stale::Head };
+                self.stale[rule] = self.stale[rule].max(level);
+                self.any_stale = true;
+            }
+        }
+    }
+
+    /// Marks every tracked rule for re-enumeration.
+    fn invalidate(&mut self) {
+        for (stale, &tracked) in self.stale.iter_mut().zip(&self.tracked) {
+            if tracked {
+                *stale = Stale::Body;
+            }
+        }
+        self.any_stale = true;
+    }
+
+    /// `App(D)` in canonical order for the instance and index the cache
+    /// follows, refreshing only the stale rules.
+    fn pairs(
+        &mut self,
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        instance: &Instance,
+        index: &InstanceIndex,
+    ) -> &[AppPair] {
+        if self.any_stale {
+            let mut key = Vec::new();
+            let mut start = 0;
+            for rule in 0..self.lens.len() {
+                let end = start + self.lens[rule];
+                match std::mem::replace(&mut self.stale[rule], Stale::Clean) {
+                    Stale::Clean => {}
+                    Stale::Head => {
+                        let mut kept = start;
+                        for i in start..end {
+                            let valuation = &self.pairs[i].valuation;
+                            if !prepared
+                                .head_satisfied(program, rule, valuation, instance, index, &mut key)
+                            {
+                                self.pairs.swap(kept, i);
+                                kept += 1;
+                            }
+                        }
+                        self.pairs.drain(kept..end);
+                        self.lens[rule] = kept - start;
+                    }
+                    Stale::Body => {
+                        let fresh = &mut self.scratch;
+                        prepared.push_applicable(program, rule, instance, index, fresh);
+                        self.lens[rule] = fresh.len();
+                        self.pairs.splice(start..end, fresh.drain(..));
+                    }
+                }
+                start += self.lens[rule];
+            }
+            self.any_stale = false;
+        }
+        &self.pairs
+    }
+}
+
+/// The state of one stepping chase loop: an instance, the index over it,
+/// and its cached `App(D)`, moved in lockstep. Cloning it forks the chase
+/// (a lane-group split, a branch of an exact enumeration, or a
+/// Metropolis-Hastings proposal from the chain's input snapshot).
+///
+/// [`ChaseState::app`] equals [`PreparedProgram::applicable_pairs`] (or
+/// [`PreparedProgram::applicable_existential_pairs`] for a state built by
+/// [`ChaseState::existential`]) on the current instance, in the same
+/// canonical order. A fresh insert into a relation a rule reads in its
+/// body re-enumerates that rule at the next call; an insert into the
+/// relation only its head probe reads re-filters the rule's pairs; every
+/// other rule's pairs are reused.
+#[derive(Debug, Clone)]
+pub struct ChaseState {
+    instance: Instance,
+    /// The index over `instance`, laid out for the program.
+    index: InstanceIndex,
+    app: AppCache,
+}
+
+impl ChaseState {
+    /// A state at `instance` whose cache covers every rule (the `App(D)`
+    /// of the sequential and parallel chases).
+    pub fn new(
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        instance: Instance,
+    ) -> ChaseState {
+        let tracked = program.rules.iter().map(|_| true).collect();
+        ChaseState::tracking(prepared, instance, tracked)
+    }
+
+    /// A state at `instance` whose cache covers the existential rules only
+    /// — the selection of the saturating chase
+    /// ([`PreparedProgram::applicable_existential_pairs`]).
+    pub fn existential(
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        instance: Instance,
+    ) -> ChaseState {
+        let tracked = program.rules.iter().map(|r| r.is_existential()).collect();
+        ChaseState::tracking(prepared, instance, tracked)
+    }
+
+    fn tracking(prepared: &PreparedProgram, instance: Instance, tracked: Vec<bool>) -> ChaseState {
+        let index = prepared.new_index(&instance);
+        ChaseState {
+            instance,
+            index,
+            app: AppCache::tracking(tracked),
+        }
+    }
+
+    /// Inserts a fact; when it is new, absorbs it into the index and marks
+    /// the rules it can affect stale. Returns whether it was new.
+    pub fn insert(&mut self, prepared: &PreparedProgram, rel: RelId, tuple: Tuple) -> bool {
+        let fresh = self.instance.insert(rel, tuple.clone());
+        if fresh {
+            self.index.absorb(rel, &tuple);
+            self.app.note_insert(prepared, rel);
+        }
+        fresh
+    }
+
+    /// Drives the deterministic rules to fixpoint — from scratch with
+    /// `delta = None`, else continuing from the already inserted facts of
+    /// `delta`, which must already be inserted — and returns the number of
+    /// derived facts. A pass that derives anything marks every rule for
+    /// re-enumeration.
+    pub fn saturate(&mut self, prepared: &PreparedProgram, delta: Option<Delta>) -> usize {
+        let derived = prepared
+            .det()
+            .saturate_in_place(prepared.specs(), &mut self.instance, &mut self.index, delta)
+            .derived_facts;
+        if derived > 0 {
+            self.app.invalidate();
+        }
+        derived
+    }
+
+    /// The cached `App(D)` of the current instance, in canonical order.
+    pub fn app(&mut self, prepared: &PreparedProgram, program: &CompiledProgram) -> &[AppPair] {
+        self.app
+            .pairs(prepared, program, &self.instance, &self.index)
+    }
+
+    /// The current instance.
+    pub fn instance(&self) -> &Instance {
+        &self.instance
+    }
+
+    /// Ends the chase, keeping the instance.
+    pub fn into_instance(self) -> Instance {
+        self.instance
     }
 }
 
@@ -346,5 +634,100 @@ mod tests {
             prepared.applicable_pairs(&prog, &d, &index),
             applicable_pairs(&prog, &d)
         );
+    }
+
+    #[test]
+    fn dependents_flag_body_reads_over_head_probes() {
+        let prog = compile(
+            r#"
+            T(X, Z) :- T(X, Y), E(Y, Z).
+            T(X, Y) :- E(X, Y).
+            E(1, 2).
+        "#,
+        );
+        let prepared = PreparedProgram::new(&prog);
+        let t = prog.catalog.require("T").unwrap();
+        let e = prog.catalog.require("E").unwrap();
+        assert_eq!(prepared.dependents(t), &[(0, true), (1, false)]);
+        assert_eq!(prepared.dependents(e), &[(0, true), (1, true)]);
+    }
+
+    const CITIES: &str = r#"
+        rel City(symbol, real) input.
+        rel Noise(symbol) input.
+        City(gotham, 0.3).
+        City(metropolis, 0.2).
+        Earthquake(C, Flip<0.1>) :- City(C, R).
+    "#;
+
+    /// A state over `prog` whose cache has just been refreshed (all clean).
+    fn clean_state(prog: &CompiledProgram, prepared: &PreparedProgram) -> ChaseState {
+        let mut state = ChaseState::new(prepared, prog, prog.initial_instance.clone());
+        state.app(prepared, prog);
+        assert!(!state.app.any_stale);
+        state
+    }
+
+    #[test]
+    fn unread_relation_insert_leaves_every_rule_clean() {
+        let prog = compile(CITIES);
+        let prepared = PreparedProgram::new(&prog);
+        let mut state = clean_state(&prog, &prepared);
+        let noise = prog.catalog.require("Noise").unwrap();
+        assert!(prepared.dependents(noise).is_empty());
+        assert!(state.insert(&prepared, noise, tuple!["hiss"]));
+        assert!(!state.app.any_stale);
+        assert!(state.app.stale.iter().all(|&d| d == Stale::Clean));
+        let expect = applicable_pairs(&prog, &state.instance);
+        assert_eq!(state.app(&prepared, &prog), expect.as_slice());
+    }
+
+    #[test]
+    fn aux_insert_removes_exactly_the_blocked_existential_pair() {
+        let prog = compile(CITIES);
+        let prepared = PreparedProgram::new(&prog);
+        let mut state = clean_state(&prog, &prepared);
+        let before = state.app(&prepared, &prog).to_vec();
+        assert_eq!(before.len(), 2, "one experiment per city");
+        let aux = prog.aux_relations[0];
+        // The experiment fact (key, outcome) of gotham blocks its pair:
+        // the existential rule only probes the auxiliary relation, so its
+        // list is filtered, while the delivery rule reading it re-enumerates.
+        assert!(state.insert(&prepared, aux, tuple!["gotham", 0.1, 1i64]));
+        assert_eq!(state.app.stale, vec![Stale::Head, Stale::Body]);
+        let existential: Vec<&AppPair> = state
+            .app(&prepared, &prog)
+            .iter()
+            .filter(|p| prog.rules[p.rule].is_existential())
+            .collect();
+        assert_eq!(existential, vec![&before[1]], "only metropolis survives");
+        let expect = applicable_pairs(&prog, &state.instance);
+        assert_eq!(state.app(&prepared, &prog), expect.as_slice());
+    }
+
+    #[test]
+    fn duplicate_insert_marks_nothing_stale() {
+        let prog = compile(CITIES);
+        let prepared = PreparedProgram::new(&prog);
+        let mut state = clean_state(&prog, &prepared);
+        let city = prog.catalog.require("City").unwrap();
+        assert!(!state.insert(&prepared, city, tuple!["gotham", 0.3]));
+        assert!(!state.app.any_stale);
+        assert!(state.app.stale.iter().all(|&d| d == Stale::Clean));
+        // A fresh fact in the same relation does mark its readers.
+        assert!(state.insert(&prepared, city, tuple!["smallville", 0.5]));
+        assert_eq!(state.app.stale[0], Stale::Body);
+        assert_eq!(state.app(&prepared, &prog).len(), 3);
+    }
+
+    #[test]
+    fn existential_cache_tracks_existential_rules_only() {
+        let prog = compile(CITIES);
+        let prepared = PreparedProgram::new(&prog);
+        let mut state = ChaseState::existential(&prepared, &prog, prog.initial_instance.clone());
+        let aux = prog.aux_relations[0];
+        assert!(state.insert(&prepared, aux, tuple!["gotham", 0.1, 1i64]));
+        let expect = prepared.applicable_existential_pairs(&prog, &state.instance, &state.index);
+        assert_eq!(state.app(&prepared, &prog), expect.as_slice());
     }
 }

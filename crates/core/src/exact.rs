@@ -13,11 +13,13 @@
 //!   suite verifies rather than assumes — says they all yield the same
 //!   world table.
 
-use gdatalog_data::{Instance, Tuple, Value};
+use std::rc::Rc;
+
+use gdatalog_data::{Fact, Instance, Tuple, Value};
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use gdatalog_pdb::PossibleWorlds;
 
-use crate::applicability::{eval_terms, AppPair, PreparedProgram};
+use crate::applicability::{eval_terms, AppPair, ChaseState, PreparedProgram};
 use crate::policy::ChasePolicy;
 use crate::EngineError;
 
@@ -93,30 +95,35 @@ pub(crate) fn existential_branches(
     Ok((combos, (1.0 - tabulated).max(0.0)))
 }
 
-/// Applies a fired branch of `pair` to `instance`.
-pub(crate) fn apply_branch(
-    program: &CompiledProgram,
-    pair: &AppPair,
-    outcomes: &[Value],
-    instance: &Instance,
-) -> Instance {
-    let rule = &program.rules[pair.rule];
-    let mut next = instance.clone();
-    match &rule.kind {
+/// The fact a fired branch of `pair` inserts: the head of a deterministic
+/// rule, or the auxiliary experiment fact (key, then `outcomes`).
+pub(crate) fn branch_fact(program: &CompiledProgram, pair: &AppPair, outcomes: &[Value]) -> Fact {
+    match &program.rules[pair.rule].kind {
         RuleKind::Deterministic { head } => {
             let tuple: Tuple = head
                 .args
                 .iter()
                 .map(|t| crate::applicability::eval_term(t, &pair.valuation))
                 .collect();
-            next.insert(head.rel, tuple);
+            Fact::new(head.rel, tuple)
         }
         RuleKind::Existential(e) => {
             let mut values = eval_terms(&e.key_terms, &pair.valuation);
             values.extend(outcomes.iter().cloned());
-            next.insert(e.aux_rel, Tuple::from(values));
+            Fact::new(e.aux_rel, Tuple::from(values))
         }
     }
+}
+
+/// Applies a fired branch of `pair` to a copy of `instance`.
+pub(crate) fn apply_branch(
+    program: &CompiledProgram,
+    pair: &AppPair,
+    outcomes: &[Value],
+    instance: &Instance,
+) -> Instance {
+    let mut next = instance.clone();
+    next.insert_fact(branch_fact(program, pair, outcomes));
     next
 }
 
@@ -150,42 +157,82 @@ pub fn enumerate_sequential_prepared(
 ) -> Result<PossibleWorlds, EngineError> {
     require_discrete(program)?;
     let mut worlds = PossibleWorlds::new();
-    // DFS over (instance, path probability, depth). Bodies are planned
-    // once; each node builds its index fresh (branches share no instance).
-    let mut stack: Vec<(Instance, f64, usize)> = vec![(input.clone(), 1.0, 0)];
-    while let Some((instance, p, depth)) = stack.pop() {
+    // DFS over frames; each child materializes its state from its parent's
+    // (index and cached App(D) included) plus the fact its branch fired.
+    let mut stack = vec![Frame::root(prepared, program, input)];
+    while let Some(frame) = stack.pop() {
         check_deadline(config.deadline)?;
-        if p == 0.0 {
+        if frame.p == 0.0 {
             continue;
         }
-        let index = prepared.new_index(&instance);
-        let app = prepared.applicable_pairs(program, &instance, &index);
+        let (p, depth) = (frame.p, frame.depth);
+        let mut state = frame.into_state(prepared);
+        let app = state.app(prepared, program);
         if app.is_empty() {
-            worlds.add(instance, p);
+            worlds.add(state.into_instance(), p);
             continue;
         }
         if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
             worlds.add_nontermination(p);
             continue;
         }
-        let pair = app[policy.select(&app)].clone();
-        match &program.rules[pair.rule].kind {
-            RuleKind::Deterministic { .. } => {
-                let next = apply_branch(program, &pair, &[], &instance);
-                stack.push((next, p, depth + 1));
-            }
+        let pair = app[policy.select(app)].clone();
+        let branches = match &program.rules[pair.rule].kind {
+            RuleKind::Deterministic { .. } => vec![(Vec::new(), 1.0)],
             RuleKind::Existential(_) => {
                 let (branches, truncated) =
                     existential_branches(program, &pair, config.support_tol)?;
                 worlds.add_truncation(p * truncated);
-                for (outcomes, q) in branches {
-                    let next = apply_branch(program, &pair, &outcomes, &instance);
-                    stack.push((next, p * q, depth + 1));
-                }
+                branches
             }
+        };
+        let parent = Rc::new(state);
+        for (outcomes, q) in branches {
+            stack.push(Frame {
+                parent: Rc::clone(&parent),
+                fired: vec![branch_fact(program, &pair, &outcomes)],
+                p: p * q,
+                depth: depth + 1,
+            });
         }
     }
     Ok(worlds)
+}
+
+/// One pending node of an exact enumeration: its parent's chase state and
+/// the facts the branch into it fired. The state is materialized when the
+/// node is popped — the last sibling popped takes the parent's state
+/// without a copy.
+pub(crate) struct Frame {
+    pub(crate) parent: Rc<ChaseState>,
+    pub(crate) fired: Vec<Fact>,
+    pub(crate) p: f64,
+    pub(crate) depth: usize,
+}
+
+impl Frame {
+    /// The root node: `input` with a fresh index and cache.
+    pub(crate) fn root(
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        input: &Instance,
+    ) -> Frame {
+        Frame {
+            parent: Rc::new(ChaseState::new(prepared, program, input.clone())),
+            fired: Vec::new(),
+            p: 1.0,
+            depth: 0,
+        }
+    }
+
+    /// The node's own state: the parent's with the fired facts inserted.
+    pub(crate) fn into_state(self, prepared: &PreparedProgram) -> ChaseState {
+        let mut state = Rc::try_unwrap(self.parent).unwrap_or_else(|rc| (*rc).clone());
+        for fact in self.fired {
+            state.insert(prepared, fact.rel, fact.tuple);
+        }
+        state
+    }
 }
 
 /// Exact **parallel** enumeration (Def. 5.2): at every node all applicable
@@ -217,51 +264,59 @@ pub fn enumerate_parallel_prepared(
 ) -> Result<PossibleWorlds, EngineError> {
     require_discrete(program)?;
     let mut worlds = PossibleWorlds::new();
-    let mut stack: Vec<(Instance, f64, usize)> = vec![(input.clone(), 1.0, 0)];
-    while let Some((instance, p, depth)) = stack.pop() {
+    let mut stack = vec![Frame::root(prepared, program, input)];
+    while let Some(frame) = stack.pop() {
         check_deadline(config.deadline)?;
-        if p == 0.0 {
+        if frame.p == 0.0 {
             continue;
         }
-        let index = prepared.new_index(&instance);
-        let app = prepared.applicable_pairs(program, &instance, &index);
+        let (p, depth) = (frame.p, frame.depth);
+        let mut state = frame.into_state(prepared);
+        let app = state.app(prepared, program);
         if app.is_empty() {
-            worlds.add(instance, p);
+            worlds.add(state.into_instance(), p);
             continue;
         }
         if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
             worlds.add_nontermination(p);
             continue;
         }
-        let (children, truncated) = parallel_round(program, &instance, &app, config)?;
+        let (children, truncated) = parallel_round(program, app, config)?;
         worlds.add_truncation(p * truncated);
-        for (d, q) in children {
-            stack.push((d, p * q, depth + 1));
+        let parent = Rc::new(state);
+        for (fired, q) in children {
+            stack.push(Frame {
+                parent: Rc::clone(&parent),
+                fired,
+                p: p * q,
+                depth: depth + 1,
+            });
         }
     }
     Ok(worlds)
 }
 
-/// Expands one parallel round (all applicable pairs fire) into follow-up
-/// instances with probabilities, plus truncated mass. `app` must be
-/// `applicable_pairs(program, instance)` and non-empty.
+/// Expands one parallel round (all applicable pairs fire) into the fact
+/// sets of the follow-up instances with their probabilities, plus
+/// truncated mass. `app` must be the (non-empty) `App(D)` of the instance
+/// the round starts from.
+#[allow(clippy::type_complexity)]
 pub(crate) fn parallel_round(
     program: &CompiledProgram,
-    instance: &Instance,
     app: &[AppPair],
     config: ExactConfig,
-) -> Result<(Vec<(Instance, f64)>, f64), EngineError> {
-    // Accumulate follow-up instances as a product over pairs.
-    let mut frontier: Vec<(Instance, f64)> = vec![(instance.clone(), 1.0)];
+) -> Result<(Vec<(Vec<Fact>, f64)>, f64), EngineError> {
+    // Accumulate follow-up fact sets as a product over pairs.
+    let mut frontier: Vec<(Vec<Fact>, f64)> = vec![(Vec::new(), 1.0)];
     let mut truncated_total = 0.0;
     let mut experiments_done: Vec<(gdatalog_data::RelId, Vec<Value>)> = Vec::new();
     for pair in app {
         match &program.rules[pair.rule].kind {
             RuleKind::Deterministic { .. } => {
-                frontier = frontier
-                    .into_iter()
-                    .map(|(d, q)| (apply_branch(program, pair, &[], &d), q))
-                    .collect();
+                let fact = branch_fact(program, pair, &[]);
+                for (facts, _) in &mut frontier {
+                    facts.push(fact.clone());
+                }
             }
             RuleKind::Existential(e) => {
                 let key = eval_terms(&e.key_terms, &pair.valuation);
@@ -276,9 +331,11 @@ pub(crate) fn parallel_round(
                 let partial_mass: f64 = frontier.iter().map(|(_, q)| q).sum();
                 truncated_total += partial_mass * truncated;
                 let mut next = Vec::with_capacity(frontier.len() * branches.len());
-                for (d, q) in &frontier {
+                for (facts, q) in &frontier {
                     for (outcomes, b) in &branches {
-                        next.push((apply_branch(program, pair, outcomes, d), q * b));
+                        let mut ext = facts.clone();
+                        ext.push(branch_fact(program, pair, outcomes));
+                        next.push((ext, q * b));
                     }
                 }
                 frontier = next;

@@ -175,8 +175,17 @@ impl StepKernel for ParallelKernel<'_> {
         if app.is_empty() {
             return Ok(None);
         }
-        let (children, truncated) =
-            crate::exact::parallel_round(self.program, instance, &app, config)?;
+        let (children, truncated) = crate::exact::parallel_round(self.program, &app, config)?;
+        let children = children
+            .into_iter()
+            .map(|(facts, q)| {
+                let mut next = instance.clone();
+                for fact in facts {
+                    next.insert_fact(fact);
+                }
+                (next, q)
+            })
+            .collect();
         Ok(Some((children, truncated)))
     }
 

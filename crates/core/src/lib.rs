@@ -59,7 +59,7 @@ pub mod sequential;
 pub mod session;
 pub mod tree;
 
-pub use applicability::{applicable_pairs, AppPair, PreparedProgram};
+pub use applicability::{applicable_pairs, AppPair, ChaseState, PreparedProgram};
 pub use backend::{
     Backend, EvalJob, EvalOptions, ExactParallelBackend, ExactSequentialBackend, McBackend,
     RunBudget,

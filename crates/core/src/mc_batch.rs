@@ -10,14 +10,15 @@
 //!
 //! The executor keeps the batch as **lane groups**: a group is a set of
 //! runs whose chase states are still identical — one shared `Instance`,
-//! one maintained index, one policy state, one step counter, plus one RNG
-//! per lane. Every run of a batch starts in a single root group (the
-//! deterministic prefix — rules firing before the first Ψ-atom — is
-//! therefore executed exactly once and shared by all lanes), and a group
-//! only *splits* when an existential firing draws diverging outcomes:
-//! lanes are partitioned by their joint outcome vector (first-occurrence
-//! order), the first partition continues on the group's state in place,
-//! and each later partition clones the state once. Discrete programs with
+//! one maintained index, one cached `App(D)`, one policy state, one step
+//! counter, plus one RNG per lane. Every run of a batch starts in a single
+//! root group (the deterministic prefix — rules firing before the first
+//! Ψ-atom — is therefore executed exactly once and shared by all lanes),
+//! and a group only *splits* when an existential firing draws diverging
+//! outcomes: lanes are partitioned by their joint outcome vector
+//! (first-occurrence order), the first partition continues on the group's
+//! state in place, and each later partition clones the state — cached
+//! `App(D)` included — once. Discrete programs with
 //! few distinct outcomes thus share almost all chase work across a batch,
 //! while continuous programs degenerate gracefully to one lane per group
 //! after the first continuous sample — still amortizing the shared
@@ -40,13 +41,13 @@ use std::ops::Range;
 use std::rc::Rc;
 
 use gdatalog_data::{Instance, RelId, Tuple, Value};
-use gdatalog_datalog::InstanceIndex;
+use gdatalog_datalog::Delta;
 use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::applicability::{eval_term, eval_terms, AppPair, PreparedProgram};
+use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
 use crate::mc::{derive_seed, ChaseVariant, McConfig};
 use crate::policy::{ChasePolicy, PolicyKind};
 
@@ -83,15 +84,15 @@ struct Group {
     lanes: Vec<usize>,
     /// One RNG per lane, parallel to `lanes`.
     rngs: Vec<StdRng>,
-    instance: Instance,
-    index: InstanceIndex,
+    /// The shared instance, index and cached `App(D)`; cloned on a split.
+    state: ChaseState,
     policy: ChasePolicy,
     steps: usize,
 }
 
 impl Group {
     /// Applies one fired fact to the group state — the exact insert /
-    /// absorb / step accounting of the scalar chase loops
+    /// step accounting of the scalar chase loops
     /// ([`crate::sequential::run_sequential_prepared`] and
     /// [`crate::saturate::run_saturating_prepared`]).
     fn apply_fact(
@@ -101,20 +102,12 @@ impl Group {
         rel: RelId,
         tuple: Tuple,
     ) {
-        let fresh = self.instance.insert(rel, tuple.clone());
         self.steps += 1;
-        if fresh {
-            self.index.absorb(rel, &tuple);
-            if saturating {
-                // Continue the deterministic fixpoint from the new fact.
-                let stats = prepared.det().saturate_in_place(
-                    prepared.specs(),
-                    &mut self.instance,
-                    &mut self.index,
-                    Some(gdatalog_datalog::Delta::single(rel, tuple)),
-                );
-                self.steps += stats.derived_facts;
-            }
+        if self.state.insert(prepared, rel, tuple.clone()) && saturating {
+            // Continue the deterministic fixpoint from the new fact.
+            self.steps += self
+                .state
+                .saturate(prepared, Some(Delta::single(rel, tuple)));
         }
     }
 }
@@ -153,21 +146,17 @@ pub(crate) fn run_batch(
         .collect();
 
     // Root group: the deterministic prefix below is shared by every lane.
-    let mut instance = input.clone();
-    let mut index = prepared.new_index(&instance);
-    let mut steps = 0usize;
-    if saturating {
-        let stats =
-            prepared
-                .det()
-                .saturate_in_place(prepared.specs(), &mut instance, &mut index, None);
-        steps += stats.derived_facts;
-    }
+    let (state, steps) = if saturating {
+        let mut state = ChaseState::existential(prepared, program, input.clone());
+        let derived = state.saturate(prepared, None);
+        (state, derived)
+    } else {
+        (ChaseState::new(prepared, program, input.clone()), 0)
+    };
     let root = Group {
         lanes: (0..n).collect(),
         rngs,
-        instance,
-        index,
+        state,
         policy: ChasePolicy::new(kind, existential),
         steps,
     };
@@ -176,17 +165,13 @@ pub(crate) fn run_batch(
     let mut worklist = vec![root];
     while let Some(mut group) = worklist.pop() {
         loop {
-            let app = if saturating {
-                prepared.applicable_existential_pairs(program, &group.instance, &group.index)
-            } else {
-                prepared.applicable_pairs(program, &group.instance, &group.index)
-            };
+            let app = group.state.app(prepared, program);
             if app.is_empty() {
                 // Terminated: project once, share across the group.
                 let world = Rc::new(if config.keep_aux {
-                    group.instance
+                    group.state.into_instance()
                 } else {
-                    program.project_output(&group.instance)
+                    program.project_output(group.state.instance())
                 });
                 for &lane in &group.lanes {
                     results[lane] = Some(LaneObs::World(Rc::clone(&world)));
@@ -202,7 +187,7 @@ pub(crate) fn run_batch(
             let chosen = if saturating {
                 0
             } else {
-                group.policy.select(&app)
+                group.policy.select(app)
             };
             let AppPair { rule, valuation } = app[chosen].clone();
             match &program.rules[rule].kind {
@@ -274,8 +259,7 @@ pub(crate) fn run_batch(
                         let mut spawned = Group {
                             lanes: members.iter().map(|&li| group.lanes[li]).collect(),
                             rngs: members.iter().map(|&li| group.rngs[li].clone()).collect(),
-                            instance: group.instance.clone(),
-                            index: group.index.clone(),
+                            state: group.state.clone(),
                             policy: group.policy.clone(),
                             steps: group.steps,
                         };

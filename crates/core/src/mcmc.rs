@@ -61,7 +61,7 @@ use gdatalog_pdb::WorldSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::applicability::{eval_term, eval_terms, AppPair, PreparedProgram};
+use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
 use crate::backend::{Backend, EvalJob};
 use crate::exact::check_deadline;
 use crate::observe;
@@ -114,36 +114,36 @@ enum Replay {
     Invalid,
 }
 
-/// Runs one sequential chase under the canonical policy, **replaying**
-/// `prior`'s recorded draws where available: the `resample` site (and any
-/// site absent from the old trace) draws fresh from its prior; every
-/// other recorded site reuses its values, re-scored under the parameters
-/// the replay actually evaluates.
+/// Runs one sequential chase from `start` (the chain's input snapshot)
+/// under the canonical policy, **replaying** `prior`'s recorded draws
+/// where available: the `resample` site (and any site absent from the old
+/// trace) draws fresh from its prior; every other recorded site reuses
+/// its values, re-scored under the parameters the replay actually
+/// evaluates.
 fn traced_run(
     program: &CompiledProgram,
     prepared: &PreparedProgram,
-    input: &Instance,
+    start: &ChaseState,
     existential: &[usize],
     max_steps: usize,
     prior: Option<(&Trace, &SiteKey)>,
     rng: &mut StdRng,
 ) -> Result<Replay, EngineError> {
-    let mut instance = input.clone();
-    let mut index = prepared.new_index(&instance);
+    let mut state = start.clone();
     let mut policy = ChasePolicy::new(PolicyKind::Canonical, existential);
     let mut sites: HashMap<SiteKey, SiteRecord> = HashMap::new();
     let mut order: Vec<SiteKey> = Vec::new();
     let mut reused_delta = 0.0;
     let mut steps = 0usize;
     let outcome = loop {
-        let app = prepared.applicable_pairs(program, &instance, &index);
+        let app = state.app(prepared, program);
         if app.is_empty() {
             break RunOutcome::Terminated;
         }
         if steps >= max_steps {
             break RunOutcome::BudgetExhausted;
         }
-        let AppPair { rule, valuation } = app[policy.select(&app)].clone();
+        let AppPair { rule, valuation } = app[policy.select(app)].clone();
         let fact = match &program.rules[rule].kind {
             RuleKind::Deterministic { head } => {
                 let tuple: Tuple = head.args.iter().map(|t| eval_term(t, &valuation)).collect();
@@ -201,15 +201,13 @@ fn traced_run(
                 Fact::new(e.aux_rel, Tuple::from(values))
             }
         };
-        if instance.insert(fact.rel, fact.tuple.clone()) {
-            index.absorb(fact.rel, &fact.tuple);
-        }
+        state.insert(prepared, fact.rel, fact.tuple);
         steps += 1;
     };
     Ok(Replay::Run(TracedRun {
         sites,
         order,
-        instance,
+        instance: state.into_instance(),
         outcome,
         reused_delta,
     }))
@@ -223,7 +221,7 @@ fn traced_run(
 fn mh_step(
     program: &CompiledProgram,
     prepared: &PreparedProgram,
-    input: &Instance,
+    start: &ChaseState,
     existential: &[usize],
     observes: &[gdatalog_lang::CompiledObserve],
     max_steps: usize,
@@ -238,7 +236,7 @@ fn mh_step(
     let replay = traced_run(
         program,
         prepared,
-        input,
+        start,
         existential,
         max_steps,
         Some((current, &site)),
@@ -335,6 +333,10 @@ impl Backend for MhBackend {
             .map(|r| r.id)
             .collect();
         let mut rng = StdRng::seed_from_u64(opts.seed);
+        // The chain's snapshot of the input: built, indexed and its App(D)
+        // enumerated once, then cloned by every run of the chain.
+        let mut start = ChaseState::new(&prepared, program, input.clone());
+        start.app(&prepared, program);
 
         // Initialization: forward-sample until a terminated run compatible
         // with the evidence appears. This is rejection initialization — if
@@ -349,7 +351,7 @@ impl Backend for MhBackend {
             let Replay::Run(run) = traced_run(
                 program,
                 &prepared,
-                input,
+                &start,
                 &existential,
                 opts.max_depth,
                 None,
@@ -380,7 +382,7 @@ impl Backend for MhBackend {
             if let Some(accepted) = mh_step(
                 program,
                 &prepared,
-                input,
+                &start,
                 &existential,
                 job.observes,
                 opts.max_depth,

@@ -18,7 +18,7 @@ use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use rand::Rng;
 
-use crate::applicability::{eval_terms, PreparedProgram};
+use crate::applicability::{eval_terms, ChaseState, PreparedProgram};
 use crate::sequential::{fire, ChaseRun, RunOutcome, TraceStep};
 
 /// Performs one parallel chase step. Returns `None` when `App(D)` is empty
@@ -102,8 +102,10 @@ pub fn run_parallel(
 }
 
 /// [`run_parallel`] on a pre-planned program: the instance is mutated in
-/// place round over round and one incrementally maintained index follows
-/// it — no per-round instance clone or index rebuild.
+/// place round over round, and one incrementally maintained index and one
+/// cached `App(D)` ([`ChaseState`]) follow it — no per-round instance
+/// clone or index rebuild, and only the rules a round's facts can affect
+/// are re-enumerated.
 ///
 /// # Errors
 /// Propagates runtime distribution-parameter failures.
@@ -115,36 +117,24 @@ pub fn run_parallel_prepared(
     max_rounds: usize,
     record_trace: bool,
 ) -> Result<ChaseRun, DistError> {
-    let mut instance = input.clone();
-    let mut index = prepared.new_index(&instance);
+    let mut state = ChaseState::new(prepared, program, input.clone());
     let mut rounds = 0usize;
     let mut log_weight = 0.0;
     let mut trace = Vec::new();
     let mut experiments_done: HashMap<(RelId, Vec<Value>), ()> = HashMap::new();
-    loop {
+    let outcome = loop {
         if rounds >= max_rounds {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::BudgetExhausted,
-                instance,
-                steps: rounds,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::BudgetExhausted;
         }
-        let app = prepared.applicable_pairs(program, &instance, &index);
+        // The round inserts while it walks the pairs, so it walks a copy.
+        let app = state.app(prepared, program).to_vec();
         if app.is_empty() {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::Terminated,
-                instance,
-                steps: rounds,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::Terminated;
         }
         // Fire every applicable pair of this round, sampling each distinct
         // experiment once (see module docs).
         experiments_done.clear();
-        for pair in &app {
+        for pair in app {
             let rule = &program.rules[pair.rule];
             if let RuleKind::Existential(e) = &rule.kind {
                 let key = eval_terms(&e.key_terms, &pair.valuation);
@@ -154,23 +144,26 @@ pub fn run_parallel_prepared(
                 experiments_done.insert((e.aux_rel, key), ());
             }
             let fired = fire(program, rule, &pair.valuation, rng)?;
-            let rel = fired.fact.rel;
-            let tuple = fired.fact.tuple;
-            if instance.insert(rel, tuple.clone()) {
-                index.absorb(rel, &tuple);
-            }
+            state.insert(prepared, fired.fact.rel, fired.fact.tuple);
             log_weight += fired.log_density;
             if record_trace {
                 trace.push(TraceStep {
                     rule: pair.rule,
-                    valuation: pair.valuation.clone(),
+                    valuation: pair.valuation,
                     sampled: fired.sampled,
                     log_density: fired.log_density,
                 });
             }
         }
         rounds += 1;
-    }
+    };
+    Ok(ChaseRun {
+        outcome,
+        instance: state.into_instance(),
+        steps: rounds,
+        log_weight,
+        trace,
+    })
 }
 
 #[cfg(test)]

@@ -16,13 +16,13 @@
 //! restarting from the whole instance — per sampling step the
 //! deterministic work is O(|Δ| + new matches), not O(|D|).
 
-use gdatalog_data::Instance;
-use gdatalog_datalog::{DatalogProgram, DatalogRule};
+use gdatalog_data::{Fact, Instance};
+use gdatalog_datalog::{DatalogProgram, DatalogRule, Delta};
 use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use rand::Rng;
 
-use crate::applicability::{AppPair, PreparedProgram};
+use crate::applicability::{AppPair, ChaseState, PreparedProgram};
 use crate::sequential::{fire, ChaseRun, RunOutcome, TraceStep};
 
 /// The deterministic fragment of a compiled program, as a classical
@@ -76,7 +76,8 @@ pub fn run_saturating(
 
 /// [`run_saturating`] on a pre-planned program, with one incrementally
 /// maintained index shared between the deterministic saturation and the
-/// existential applicability probes.
+/// existential applicability probes, and the existential rules' `App(D)`
+/// cached across sampling steps ([`ChaseState`]).
 ///
 /// # Errors
 /// Runtime distribution failures.
@@ -88,43 +89,24 @@ pub fn run_saturating_prepared(
     max_steps: usize,
     record_trace: bool,
 ) -> Result<ChaseRun, DistError> {
-    let mut steps = 0usize;
     let mut log_weight = 0.0;
     let mut trace = Vec::new();
 
     // Initial deterministic closure (full round 0).
-    let mut instance = input.clone();
-    let mut index = prepared.new_index(&instance);
-    let stats = prepared
-        .det()
-        .saturate_in_place(prepared.specs(), &mut instance, &mut index, None);
-    steps += stats.derived_facts;
+    let mut state = ChaseState::existential(prepared, program, input.clone());
+    let mut steps = state.saturate(prepared, None);
 
-    loop {
-        let app = prepared.applicable_existential_pairs(program, &instance, &index);
+    let outcome = loop {
+        let app = state.app(prepared, program);
         if app.is_empty() {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::Terminated,
-                instance,
-                steps,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::Terminated;
         }
         if steps >= max_steps {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::BudgetExhausted,
-                instance,
-                steps,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::BudgetExhausted;
         }
         let pair = app[0].clone();
         let fired = fire(program, &program.rules[pair.rule], &pair.valuation, rng)?;
-        let rel = fired.fact.rel;
-        let tuple = fired.fact.tuple.clone();
-        let fresh = instance.insert(rel, tuple.clone());
+        let Fact { rel, tuple } = fired.fact;
         steps += 1;
         log_weight += fired.log_density;
         if record_trace {
@@ -135,18 +117,18 @@ pub fn run_saturating_prepared(
                 log_density: fired.log_density,
             });
         }
-        if fresh {
-            index.absorb(rel, &tuple);
+        if state.insert(prepared, rel, tuple.clone()) {
             // Continue the deterministic fixpoint from the new fact only.
-            let stats = prepared.det().saturate_in_place(
-                prepared.specs(),
-                &mut instance,
-                &mut index,
-                Some(gdatalog_datalog::Delta::single(rel, tuple)),
-            );
-            steps += stats.derived_facts;
+            steps += state.saturate(prepared, Some(Delta::single(rel, tuple)));
         }
-    }
+    };
+    Ok(ChaseRun {
+        outcome,
+        instance: state.into_instance(),
+        steps,
+        log_weight,
+        trace,
+    })
 }
 
 /// The old rebuild-per-step saturating chase: every sampling step replans

@@ -13,7 +13,7 @@ use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, CompiledRule, RuleKind};
 use rand::Rng;
 
-use crate::applicability::{eval_term, eval_terms, AppPair, PreparedProgram};
+use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
 use crate::policy::ChasePolicy;
 
 /// One recorded chase step (the path of the Markov process, §4.2).
@@ -128,9 +128,9 @@ pub fn run_sequential(
 }
 
 /// [`run_sequential`] on a pre-planned program: rule bodies are planned
-/// once and one incrementally maintained index follows the instance across
-/// steps, so a chase step costs the body matching alone — no per-step
-/// index rebuild.
+/// once, and one incrementally maintained index and one cached `App(D)`
+/// ([`ChaseState`]) follow the instance across steps, so a chase step
+/// re-enumerates only the rules its fact can affect.
 ///
 /// # Errors
 /// Same as [`run_sequential`].
@@ -143,38 +143,23 @@ pub fn run_sequential_prepared(
     max_steps: usize,
     record_trace: bool,
 ) -> Result<ChaseRun, DistError> {
-    let mut instance = input.clone();
-    let mut index = prepared.new_index(&instance);
+    let mut state = ChaseState::new(prepared, program, input.clone());
     let mut steps = 0usize;
     let mut log_weight = 0.0;
     let mut trace = Vec::new();
 
-    loop {
-        let app = prepared.applicable_pairs(program, &instance, &index);
+    let outcome = loop {
+        let app = state.app(prepared, program);
         if app.is_empty() {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::Terminated,
-                instance,
-                steps,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::Terminated;
         }
         if steps >= max_steps {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::BudgetExhausted,
-                instance,
-                steps,
-                log_weight,
-                trace,
-            });
+            break RunOutcome::BudgetExhausted;
         }
-        let AppPair { rule, valuation } = app[policy.select(&app)].clone();
+        let AppPair { rule, valuation } = app[policy.select(app)].clone();
         let fired = fire(program, &program.rules[rule], &valuation, rng)?;
         let Fact { rel, tuple } = fired.fact;
-        if instance.insert(rel, tuple.clone()) {
-            index.absorb(rel, &tuple);
-        }
+        state.insert(prepared, rel, tuple);
         log_weight += fired.log_density;
         if record_trace {
             trace.push(TraceStep {
@@ -185,7 +170,14 @@ pub fn run_sequential_prepared(
             });
         }
         steps += 1;
-    }
+    };
+    Ok(ChaseRun {
+        outcome,
+        instance: state.into_instance(),
+        steps,
+        log_weight,
+        trace,
+    })
 }
 
 #[cfg(test)]

@@ -7,11 +7,13 @@
 //! picture — finite maximal paths mapping to instances, budget-cut paths
 //! mapping to `err` — as a path census and a DOT rendering.
 
+use std::rc::Rc;
+
 use gdatalog_data::{Catalog, Instance};
 use gdatalog_lang::CompiledProgram;
 
 use crate::applicability::PreparedProgram;
-use crate::exact::{apply_branch, existential_branches, ExactConfig};
+use crate::exact::{branch_fact, existential_branches, ExactConfig, Frame};
 use crate::policy::ChasePolicy;
 use crate::EngineError;
 use gdatalog_lang::RuleKind;
@@ -139,7 +141,7 @@ pub fn build_chase_tree(
     }
     let mut tree = ChaseTree {
         nodes: vec![ChaseNode {
-            instance: input.clone(),
+            instance: Instance::new(),
             parent: None,
             path_probability: 1.0,
             children: Vec::new(),
@@ -151,24 +153,27 @@ pub fn build_chase_tree(
         truncated_mass: 0.0,
     };
     let prepared = PreparedProgram::new(program);
-    let mut frontier = vec![0usize];
-    while let Some(ix) = frontier.pop() {
-        let (instance, p, depth) = {
-            let n = &tree.nodes[ix];
-            (n.instance.clone(), n.path_probability, n.depth)
-        };
-        let index = prepared.new_index(&instance);
-        let app = prepared.applicable_pairs(program, &instance, &index);
+    // Frontier entries pair a node with the frame its state comes from
+    // (the parent's state plus the fired fact); a node's instance is
+    // filled in when it is popped.
+    let mut frontier = vec![(0usize, Frame::root(&prepared, program, input))];
+    while let Some((ix, frame)) = frontier.pop() {
+        let (p, depth) = (frame.p, frame.depth);
+        let mut state = frame.into_state(&prepared);
+        let app = state.app(&prepared, program);
         if app.is_empty() {
             tree.nodes[ix].terminated = true;
+            tree.nodes[ix].instance = state.into_instance();
             continue;
         }
         if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
             tree.nodes[ix].cut = true;
+            tree.nodes[ix].instance = state.into_instance();
             continue;
         }
-        let pair = app[policy.select(&app)].clone();
+        let pair = app[policy.select(app)].clone();
         tree.nodes[ix].fired_rule = Some(pair.rule);
+        tree.nodes[ix].instance = state.instance().clone();
         let branches: Vec<(Vec<gdatalog_data::Value>, f64)> = match &program.rules[pair.rule].kind {
             RuleKind::Deterministic { .. } => vec![(Vec::new(), 1.0)],
             RuleKind::Existential(_) => {
@@ -177,11 +182,11 @@ pub fn build_chase_tree(
                 bs
             }
         };
+        let parent = Rc::new(state);
         for (outcomes, q) in branches {
-            let child = apply_branch(program, &pair, &outcomes, &instance);
             let cix = tree.nodes.len();
             tree.nodes.push(ChaseNode {
-                instance: child,
+                instance: Instance::new(),
                 parent: Some(ix),
                 path_probability: p * q,
                 children: Vec::new(),
@@ -191,7 +196,13 @@ pub fn build_chase_tree(
                 cut: false,
             });
             tree.nodes[ix].children.push((cix, q));
-            frontier.push(cix);
+            let frame = Frame {
+                parent: Rc::clone(&parent),
+                fired: vec![branch_fact(program, &pair, &outcomes)],
+                p: p * q,
+                depth: depth + 1,
+            };
+            frontier.push((cix, frame));
         }
     }
     Ok(tree)

@@ -6,6 +6,7 @@ use std::fmt;
 
 use crate::schema::RelId;
 use crate::tuple::Tuple;
+use crate::value::Value;
 
 /// A fact `R(v̄)`: a relation id plus a tuple.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -86,6 +87,13 @@ impl Instance {
     /// Membership test.
     pub fn contains(&self, rel: RelId, tuple: &Tuple) -> bool {
         self.rels.get(&rel).is_some_and(|s| s.contains(tuple))
+    }
+
+    /// Membership test on a borrowed value slice — the allocation-free
+    /// probe of hot loops that assemble a candidate fact in a scratch
+    /// buffer.
+    pub fn contains_values(&self, rel: RelId, values: &[Value]) -> bool {
+        self.rels.get(&rel).is_some_and(|s| s.contains(values))
     }
 
     /// The tuples of one relation (empty set if the relation has no facts).
@@ -213,6 +221,9 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(d.contains(r(0), &tuple![1i64]));
         assert!(!d.contains(r(1), &tuple![1i64]));
+        assert!(d.contains_values(r(0), &[Value::int(1)]));
+        assert!(!d.contains_values(r(0), &[Value::int(2)]));
+        assert!(!d.contains_values(r(1), &[Value::int(1)]));
     }
 
     #[test]

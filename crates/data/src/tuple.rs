@@ -1,5 +1,6 @@
 //! Tuples: immutable, cheaply clonable sequences of [`Value`]s.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 use std::sync::Arc;
@@ -70,6 +71,14 @@ impl Index<usize> for Tuple {
     type Output = Value;
     fn index(&self, i: usize) -> &Value {
         &self.0[i]
+    }
+}
+
+/// A tuple orders, compares and hashes exactly like its value slice, so
+/// sets of tuples can be probed with a borrowed `&[Value]` (no allocation).
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
     }
 }
 

@@ -1,14 +1,23 @@
 //! Property-based integration tests: randomly generated *weakly acyclic
 //! discrete* GDatalog programs satisfy the paper's guarantees —
 //! full-mass termination (Thm. 6.3), chase-order independence (Thm. 6.1),
-//! and the FD invariant (Lemma 3.10).
+//! and the FD invariant (Lemma 3.10) — and the stepping loops' cached
+//! `App(D)` equals the from-scratch definition after every step.
 //!
 //! Program shape: a layered pipeline `L0 → L1 → … → Lk` where each layer
 //! either copies, flips a coin parameterized by a constant, or joins two
 //! earlier layers. Layering guarantees weak acyclicity by construction.
 
-use proptest::prelude::*;
+use std::collections::HashMap;
 
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use gdatalog::datalog::{Delta, Term};
+use gdatalog::engine::saturate::applicable_existential_pairs;
+use gdatalog::engine::{applicable_pairs, AppPair, ChaseState};
+use gdatalog::lang::{CompiledProgram, RuleKind};
 use gdatalog::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -56,8 +65,200 @@ fn render(layers: &[LayerKind], seeds: u8) -> String {
     out
 }
 
+/// The fact firing `pair` inserts: the deterministic head, or the
+/// auxiliary fact (key values, then `outcomes`).
+fn fired_fact(program: &CompiledProgram, pair: &AppPair, outcomes: &[Value]) -> Fact {
+    let eval = |t: &Term| match t {
+        Term::Const(c) => c.clone(),
+        Term::Var(v) => pair.valuation[*v].clone(),
+    };
+    match &program.rules[pair.rule].kind {
+        RuleKind::Deterministic { head } => {
+            Fact::new(head.rel, head.args.iter().map(eval).collect())
+        }
+        RuleKind::Existential(e) => {
+            let mut values: Vec<Value> = e.key_terms.iter().map(eval).collect();
+            values.extend(outcomes.iter().cloned());
+            Fact::new(e.aux_rel, Tuple::from(values))
+        }
+    }
+}
+
+/// Fresh outcomes of an existential pair, one per sample spec.
+fn sample_outcomes(program: &CompiledProgram, pair: &AppPair, rng: &mut StdRng) -> Vec<Value> {
+    let RuleKind::Existential(e) = &program.rules[pair.rule].kind else {
+        return Vec::new();
+    };
+    e.samples
+        .iter()
+        .map(|spec| {
+            let params: Vec<Value> = spec
+                .param_terms
+                .iter()
+                .map(|t| match t {
+                    Term::Const(c) => c.clone(),
+                    Term::Var(v) => pair.valuation[*v].clone(),
+                })
+                .collect();
+            spec.dist.sample(&params, rng).expect("valid parameters")
+        })
+        .collect()
+}
+
+/// Asserts that `state`'s cached `App(D)` equals the from-scratch oracle
+/// and returns it.
+fn checked_app(
+    program: &CompiledProgram,
+    prepared: &PreparedProgram,
+    state: &mut ChaseState,
+) -> Result<Vec<AppPair>, TestCaseError> {
+    let expect = applicable_pairs(program, state.instance());
+    let got = state.app(prepared, program).to_vec();
+    prop_assert!(
+        got == expect,
+        "cached App(D) diverged at {} facts",
+        state.instance().len()
+    );
+    Ok(got)
+}
+
+/// Drives a sequential chase from `state` under `policy`, checking the
+/// cache before every step. `draw` gives each existential firing's
+/// outcomes. With `split`, stops *before* the first existential firing and
+/// returns its pair.
+fn chase_checked(
+    program: &CompiledProgram,
+    prepared: &PreparedProgram,
+    state: &mut ChaseState,
+    policy: &mut ChasePolicy,
+    draw: &mut dyn FnMut(&AppPair) -> Vec<Value>,
+    split: bool,
+) -> Result<Option<AppPair>, TestCaseError> {
+    for _ in 0..10_000 {
+        let app = checked_app(program, prepared, state)?;
+        if app.is_empty() {
+            return Ok(None);
+        }
+        let pair = app[policy.select(&app)].clone();
+        let existential = program.rules[pair.rule].is_existential();
+        if split && existential {
+            return Ok(Some(pair));
+        }
+        let outcomes = if existential { draw(&pair) } else { Vec::new() };
+        let fact = fired_fact(program, &pair, &outcomes);
+        state.insert(prepared, fact.rel, fact.tuple);
+    }
+    Err(TestCaseError::fail("layered program did not terminate"))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The cached `App(D)` of every stepping loop equals the from-scratch
+    /// [`applicable_pairs`] after every step, under both semantics: under
+    /// each deterministic policy, in the saturating chase, across a
+    /// lane-group split, and in a Metropolis-Hastings replay from a cloned
+    /// snapshot.
+    #[test]
+    fn cached_app_matches_the_scratch_oracle(
+        layers in proptest::collection::vec(arb_layer(), 1..5),
+        seeds in 1u8..4,
+        seed in 0u64..1_000,
+        barany in 0u8..2,
+    ) {
+        let src = render(&layers, seeds);
+        // Bárány semantics shares auxiliary relations between rules.
+        let mode = if barany == 1 { SemanticsMode::Barany } else { SemanticsMode::Grohe };
+        let engine = Engine::from_source(&src, mode)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+        let program = engine.program();
+        let prepared = PreparedProgram::new(program);
+        let existential: Vec<usize> = program
+            .rules
+            .iter()
+            .filter(|r| r.is_existential())
+            .map(|r| r.id)
+            .collect();
+        let start = || ChaseState::new(&prepared, program, program.initial_instance.clone());
+
+        for kind in [
+            PolicyKind::Canonical,
+            PolicyKind::Reverse,
+            PolicyKind::RoundRobin,
+            PolicyKind::DeterministicFirst,
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut policy = ChasePolicy::new(kind, &existential);
+            let mut state = start();
+            chase_checked(
+                program, &prepared, &mut state, &mut policy,
+                &mut |pair| sample_outcomes(program, pair, &mut rng), false,
+            )?;
+        }
+
+        // The saturating chase: existential rules only, all re-enumerated
+        // after a saturation pass that derives facts.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut state =
+            ChaseState::existential(&prepared, program, program.initial_instance.clone());
+        state.saturate(&prepared, None);
+        loop {
+            let expect = applicable_existential_pairs(program, state.instance());
+            let app = state.app(&prepared, program).to_vec();
+            prop_assert!(app == expect, "saturating cache diverged on\n{src}");
+            let Some(pair) = app.first() else { break };
+            let fact = fired_fact(program, pair, &sample_outcomes(program, pair, &mut rng));
+            if state.insert(&prepared, fact.rel, fact.tuple.clone()) {
+                state.saturate(&prepared, Some(Delta::single(fact.rel, fact.tuple)));
+            }
+        }
+
+        // A lane-group split: two groups continue from one cloned state,
+        // each firing a different outcome of the first experiment.
+        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &existential);
+        let mut state = start();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |pair: &AppPair| sample_outcomes(program, pair, &mut rng);
+        if let Some(pair) = chase_checked(program, &prepared, &mut state, &mut policy, &mut draw, true)? {
+            for outcome in [0i64, 1] {
+                let mut group = state.clone();
+                let mut group_policy = policy.clone();
+                let fact = fired_fact(program, &pair, &[Value::int(outcome)]);
+                group.insert(&prepared, fact.rel, fact.tuple);
+                chase_checked(program, &prepared, &mut group, &mut group_policy, &mut draw, false)?;
+            }
+        }
+
+        // A Metropolis-Hastings replay: record a run's draws by site, then
+        // replay from a clone of the same snapshot, redrawing one site.
+        let mut snapshot = start();
+        checked_app(program, &prepared, &mut snapshot)?;
+        let mut sites: HashMap<(usize, Tuple), Vec<Value>> = HashMap::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &existential);
+        chase_checked(
+            program, &prepared, &mut snapshot.clone(), &mut policy,
+            &mut |pair| {
+                let outcomes = sample_outcomes(program, pair, &mut rng);
+                sites.insert((pair.rule, fired_fact(program, pair, &[]).tuple), outcomes.clone());
+                outcomes
+            },
+            false,
+        )?;
+        let resample = sites.keys().min().cloned();
+        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &existential);
+        chase_checked(
+            program, &prepared, &mut snapshot.clone(), &mut policy,
+            &mut |pair| {
+                let site = (pair.rule, fired_fact(program, pair, &[]).tuple);
+                match sites.get(&site) {
+                    Some(recorded) if Some(&site) != resample.as_ref() => recorded.clone(),
+                    _ => sample_outcomes(program, pair, &mut rng),
+                }
+            },
+            false,
+        )?;
+    }
 
     #[test]
     fn random_layered_programs_obey_the_paper(
