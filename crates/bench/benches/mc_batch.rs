@@ -11,7 +11,7 @@
 //!   path also amortizes the per-world likelihood weighting (memoized per
 //!   shared terminal world).
 //!
-//! `batch = 1` is the scalar baseline; results are bit-identical at every
+//! `batch = 1` (one lane per group) is the baseline; results are bit-identical at every
 //! size, so this sweep is pure throughput. It chose the default of 64.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -18,7 +18,7 @@ use gdatalog_bench::report::{check_trend, Report};
 use gdatalog_bench::{burglary_program, geometric_chain, heights_program, normal_chain};
 use gdatalog_core::engine::Engine;
 use gdatalog_core::{
-    build_chase_tree, ChasePolicy, ChaseVariant, ExactConfig, McConfig, PolicyKind, RunOutcome,
+    build_chase_tree, ChasePolicy, ChaseVariant, ExactConfig, PolicyKind, RunOutcome,
 };
 use gdatalog_data::{Fact, Tuple, Value};
 use gdatalog_dist::Registry;
@@ -588,8 +588,8 @@ fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
 /// baseline vs incremental saturating, plus sequential/parallel MC), with
 /// per-bench median ns and the incremental-vs-rebuild speedups.
 fn bench_pr1() {
+    use gdatalog_core::run_saturating;
     use gdatalog_core::saturate::run_saturating_rebuild_baseline;
-    use gdatalog_core::{run_saturating, sample_pdb};
     use gdatalog_data::{tuple, Instance, RelId};
     use gdatalog_datalog::{
         fixpoint_naive, fixpoint_seminaive, fixpoint_seminaive_rebuild, Atom, DatalogProgram,
@@ -703,15 +703,15 @@ fn bench_pr1() {
         push(
             &format!("chase_mc/{label}/8houses"),
             median_ns(5, || {
-                let cfg = McConfig {
-                    runs: 50,
-                    max_steps: 100_000,
-                    seed: 1,
-                    variant,
-                    ..McConfig::default()
-                };
                 std::hint::black_box(
-                    sample_pdb(program, &program.initial_instance, &cfg).expect("runs"),
+                    engine
+                        .eval()
+                        .sample(50)
+                        .max_depth(100_000)
+                        .seed(1)
+                        .variant(variant)
+                        .pdb()
+                        .expect("runs"),
                 );
             }),
         );
@@ -1520,11 +1520,12 @@ fn bench_pr8() {
 /// The PR9 suite behind `BENCH_PR9.json`: batched Monte-Carlo execution.
 /// The BENCH_PR2 workload — a 1M-run streaming marginal over
 /// `R(Flip<0.5>) :- true. S(X) :- R(X).` — is driven twice through the
-/// Session API: scalar (`batch(1)`) and batched (lane width 64).
+/// Session API: one lane per group (`batch(1)`, recorded under the
+/// `scalar` metric names) and batched (lane width 64).
 /// **Bit-identity is asserted before any timing**: the two marginals must
 /// agree bit for bit under the same seed, single- and multi-threaded, and
 /// a conditioned pass must agree too. The acceptance gate is ≥2x
-/// single-core runs/s for the batched executor over the scalar path, plus
+/// single-core runs/s for lane width 64 over lane width 1, plus
 /// a trend gate against the previous `BENCH_PR9.json` when one exists.
 fn bench_pr9() {
     use gdatalog_core::Session;

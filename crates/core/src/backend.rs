@@ -39,16 +39,14 @@ use gdatalog_pdb::{DeficitKind, PossibleWorlds, WorldSink};
 
 use crate::applicability::PreparedProgram;
 use crate::exact::{enumerate_parallel_prepared, enumerate_sequential_prepared, ExactConfig};
-use crate::mc::{single_run, ChaseVariant, McConfig};
+use crate::mc::ChaseVariant;
 use crate::observe;
 use crate::policy::{ChasePolicy, PolicyKind};
 use crate::EngineError;
 
-/// The unified evaluation configuration consumed by every [`Backend`].
-///
-/// This replaces the former split between `ExactConfig` (passed by value)
-/// and `McConfig` (passed by reference): the builder owns one options
-/// record, and each backend reads the fields that apply to it.
+/// The unified evaluation configuration consumed by every [`Backend`]:
+/// the builder owns one options record, and each backend reads the fields
+/// that apply to it.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions {
     /// Number of independent Monte-Carlo runs.
@@ -58,13 +56,13 @@ pub struct EvalOptions {
     /// Worker threads (1 = run on the calling thread). Used by the
     /// Monte-Carlo backend.
     pub threads: usize,
-    /// Monte-Carlo batch size: how many runs the batched executor drives
-    /// in lockstep, sharing the deterministic chase prefix and the
+    /// Monte-Carlo batch size: how many runs the lane-group executor
+    /// drives in lockstep, sharing the deterministic chase prefix and the
     /// per-step applicability/kernel work (see `crates/core/src/mc_batch.rs`).
-    /// Results are bit-identical to the scalar path at any batch size;
-    /// `1` disables batching. The default was chosen by the
-    /// `mc_batch` criterion sweep. Deadline checks are cooperative at
-    /// batch boundaries, so one batch bounds the deadline overshoot.
+    /// Results are bit-identical at any batch size; at `1` every run is a
+    /// lane group of its own. The default was chosen by the `mc_batch`
+    /// criterion sweep. Deadline checks are cooperative at batch
+    /// boundaries, so one batch bounds the deadline overshoot.
     pub batch: usize,
     /// Budget along any chase path: maximum depth for exact enumeration,
     /// maximum steps/rounds per Monte-Carlo run. Deeper paths are charged
@@ -86,7 +84,7 @@ pub struct EvalOptions {
     pub keep_aux: bool,
     /// Cooperative per-request deadline. Backends check it between
     /// bounded units of work — enumeration nodes for the exact backends,
-    /// whole runs for Monte-Carlo — and abort with
+    /// lane batches ([`EvalOptions::batch`]) for Monte-Carlo — and abort with
     /// [`EngineError::DeadlineExceeded`] once it has passed. `None`
     /// (the default) never cancels.
     pub deadline: Option<std::time::Instant>,
@@ -195,19 +193,6 @@ impl EvalOptions {
             max_depth: self.max_depth,
             support_tol: self.support_tol,
             min_path_prob: self.min_path_prob,
-            deadline: self.deadline,
-        }
-    }
-
-    /// The Monte-Carlo slice of the options.
-    pub fn mc_config(&self) -> McConfig {
-        McConfig {
-            runs: self.runs,
-            max_steps: self.max_depth,
-            seed: self.seed,
-            variant: self.variant,
-            threads: self.threads,
-            keep_aux: self.keep_aux,
             deadline: self.deadline,
         }
     }
@@ -414,16 +399,6 @@ impl Backend for ExactParallelBackend {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct McBackend;
 
-/// One Monte-Carlo run's observation: a world with a linear or log-space
-/// stream weight, unconditional deficit mass, or nothing (dropped run).
-/// Deterministic per run index.
-enum McObs {
-    Linear(Instance, f64),
-    Log(Instance, f64),
-    Deficit(f64),
-    Dropped,
-}
-
 /// Streams the Monte-Carlo runs of `range` into `sink`, with the same
 /// deterministic chunked parallelism as [`McBackend::run`].
 ///
@@ -452,84 +427,34 @@ pub(crate) fn mc_stream(
     let observes = job.observes;
     let existential = existential_rule_ids(program);
     let prepared = job.plans();
-    let config = job.options.mc_config();
-    let threads = job.options.threads.max(1).min(runs);
-
-    let observe_run = |run_ix: usize| -> Result<McObs, EngineError> {
-        match single_run(program, &prepared, input, &config, &existential, run_ix)? {
-            Some(world) => {
-                if observes.is_empty() {
-                    if raw {
-                        Ok(McObs::Log(world, 0.0))
-                    } else {
-                        Ok(McObs::Linear(world, weight))
-                    }
-                } else {
-                    let lw = observe::log_weight(observes, &world)?;
-                    if lw == f64::NEG_INFINITY {
-                        Ok(McObs::Dropped)
-                    } else {
-                        Ok(McObs::Log(world, lw - log_shift))
-                    }
-                }
-            }
-            None if observes.is_empty() => Ok(McObs::Deficit(weight)),
-            // Conditioning is taken given termination: budget-exhausted
-            // runs are dropped like hard-rejected ones.
-            None => Ok(McObs::Dropped),
-        }
-    };
-
-    let emit = |sink: &mut dyn WorldSink, obs: McObs| match obs {
-        McObs::Linear(world, w) => sink.observe(world, w),
-        McObs::Log(world, lw) => sink.observe_log(world, lw),
-        McObs::Deficit(w) => sink.observe_deficit(DeficitKind::Nontermination, w),
-        McObs::Dropped => {}
-    };
+    let options = job.options;
+    let threads = options.threads.max(1).min(runs);
+    let batch_size = options.run_budget().batch;
 
     // Drives one contiguous subrange of runs into one sink, reporting a
-    // failure with the run index it occurred at. Two interchangeable
-    // strategies — per-lane results are bit-identical by construction:
-    //
-    // - scalar: one `single_run` per run index, emitted itemwise.
-    // - batched: `batch` runs execute in lockstep as lane groups sharing
-    //   the deterministic prefix and per-step chase work
-    //   (`crate::mc_batch`), then one `observe_batch` emits the whole
-    //   lane batch by reference. Deadline checks are cooperative at
-    //   batch boundaries. Conditioned log-weights are a deterministic
-    //   function of the final world, so lanes sharing one terminated
-    //   world (one `Rc`) evaluate the likelihood once.
-    let batch_size = job.options.run_budget().batch;
-    let batched = batch_size > 1 && crate::mc_batch::batched_variant(config.variant);
-
-    let drive_scalar = |sink: &mut dyn WorldSink,
-                        chunk: std::ops::Range<usize>|
-     -> Result<(), (usize, EngineError)> {
-        for run_ix in chunk {
-            match observe_run(run_ix) {
-                Ok(obs) => emit(sink, obs),
-                Err(e) => return Err((run_ix, e)),
-            }
-        }
-        Ok(())
-    };
-
-    let drive_batched = |sink: &mut dyn WorldSink,
-                         chunk: std::ops::Range<usize>|
+    // failure with the run index it occurred at. `batch` runs execute in
+    // lockstep as lane groups sharing the deterministic prefix and
+    // per-step chase work (`crate::mc_batch`), then one `observe_batch`
+    // emits the whole lane batch by reference. Deadline checks are
+    // cooperative at batch boundaries. Conditioned log-weights are a
+    // deterministic function of the final world, so lanes sharing one
+    // terminated world (one `Rc`) evaluate the likelihood once.
+    let drive = |sink: &mut dyn WorldSink,
+                 chunk: std::ops::Range<usize>|
      -> Result<(), (usize, EngineError)> {
         use crate::mc_batch::LaneObs;
         use gdatalog_pdb::BatchObs;
         let mut lo = chunk.start;
         while lo < chunk.end {
             let hi = (lo + batch_size).min(chunk.end);
-            if let Err(e) = crate::exact::check_deadline(config.deadline) {
+            if let Err(e) = crate::exact::check_deadline(options.deadline) {
                 return Err((lo, e));
             }
             let lanes = crate::mc_batch::run_batch(
                 program,
                 &prepared,
                 input,
-                &config,
+                options,
                 &existential,
                 lo..hi,
             );
@@ -587,14 +512,6 @@ pub(crate) fn mc_stream(
             lo = hi;
         }
         Ok(())
-    };
-
-    let drive = |sink: &mut dyn WorldSink, chunk: std::ops::Range<usize>| {
-        if batched {
-            drive_batched(sink, chunk)
-        } else {
-            drive_scalar(sink, chunk)
-        }
     };
 
     if threads <= 1 || sink.fork().is_none() {
@@ -725,6 +642,62 @@ mod tests {
         let pdb = materialized.finish();
         assert_eq!(pdb.runs(), 5_000);
         assert!((streaming.finish() - pdb.marginal(&fact)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn mc_flip_frequency_matches_bias_and_projects_aux() {
+        let prog = compile("R(Flip<0.3>) :- true.");
+        let opts = EvalOptions {
+            runs: 20_000,
+            max_depth: 100,
+            seed: 42,
+            ..EvalOptions::default()
+        };
+        let mut sink = EmpiricalSink::new();
+        drive(&McBackend, &prog, &opts, &mut sink);
+        let pdb = sink.finish();
+        assert_eq!(pdb.errors(), 0);
+        let r = prog.catalog.require("R").unwrap();
+        let p = pdb.marginal(&Fact::new(r, tuple![1i64]));
+        assert!((p - 0.3).abs() < 0.01, "p = {p}");
+        // Aux relations projected away by default.
+        assert!(pdb.samples()[0]
+            .populated_relations()
+            .all(|rel| prog.output_relations.contains(&rel)));
+    }
+
+    #[test]
+    fn mc_expired_deadline_fails_at_every_thread_count_and_variant() {
+        let prog = compile("R(Flip<0.5>) :- true.");
+        for variant in [
+            ChaseVariant::Sequential(PolicyKind::Canonical),
+            ChaseVariant::Sequential(PolicyKind::Random { seed: 2 }),
+            ChaseVariant::Parallel,
+            ChaseVariant::Saturating,
+        ] {
+            for threads in [1, 4] {
+                let opts = EvalOptions {
+                    runs: 1_000,
+                    threads,
+                    variant,
+                    deadline: Some(std::time::Instant::now()),
+                    ..EvalOptions::default()
+                };
+                let job = EvalJob {
+                    program: &prog,
+                    prepared: None,
+                    input: &prog.initial_instance,
+                    options: &opts,
+                    observes: &[],
+                };
+                let mut sink = EmpiricalSink::new();
+                let err = McBackend.run(&job, &mut sink).unwrap_err();
+                assert!(
+                    matches!(err, EngineError::DeadlineExceeded),
+                    "{variant:?} at {threads} threads: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

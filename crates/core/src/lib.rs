@@ -23,8 +23,9 @@
 //!   mass accounting (the push-forward measure along `lim-inst`, §4.2);
 //! * [`tree`] — explicit chase trees with probability annotations and DOT
 //!   export (Figure 1 of the paper);
-//! * [`mc`] — Monte-Carlo path sampling of the Markov process, single- or
-//!   multi-threaded, producing [`gdatalog_pdb::EmpiricalPdb`] estimates;
+//! * [`mc`] — Monte-Carlo path sampling of the Markov process: the chase
+//!   variant driving each run and the per-run seed derivation (runs are
+//!   executed in lane batches by [`McBackend`]);
 //! * [`mcmc`] — single-site Metropolis-Hastings over chase traces
 //!   ([`MhBackend`]), posterior sampling that stays effective where
 //!   likelihood weighting's effective sample size collapses;
@@ -71,7 +72,7 @@ pub use exact::{
 };
 pub use fingerprint::source_fingerprint;
 pub use kernel::{ParallelKernel, SequentialKernel, StepKernel};
-pub use mc::{sample_pdb, ChaseVariant, McConfig};
+pub use mc::ChaseVariant;
 pub use mcmc::MhBackend;
 pub use observe::{log_weight, weight as observation_weight};
 pub use policy::{ChasePolicy, PolicyKind};

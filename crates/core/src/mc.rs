@@ -6,18 +6,12 @@
 //! only path sampling is available. Runs that exhaust the step budget are
 //! recorded as error-event observations (`err`, §4.2), so the empirical
 //! mass estimates the SPDB mass `α` of Def. 2.7.
+//!
+//! [`McBackend`](crate::McBackend) drives every run through the lane-group
+//! executor (`crates/core/src/mc_batch.rs`); this module holds the choice
+//! of chase procedure and the per-run seed derivation.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use gdatalog_data::Instance;
-use gdatalog_lang::CompiledProgram;
-use gdatalog_pdb::EmpiricalPdb;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::policy::{ChasePolicy, PolicyKind};
-use crate::sequential::RunOutcome;
-use crate::EngineError;
+use crate::policy::PolicyKind;
 
 /// Which chase procedure drives each run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,334 +26,10 @@ pub enum ChaseVariant {
     Saturating,
 }
 
-/// Monte-Carlo configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct McConfig {
-    /// Number of independent runs.
-    pub runs: usize,
-    /// Step budget per run (sequential steps or parallel rounds).
-    pub max_steps: usize,
-    /// Master seed; run `i` uses a deterministic derivation of it.
-    pub seed: u64,
-    /// Chase procedure.
-    pub variant: ChaseVariant,
-    /// Worker threads (1 = run on the calling thread).
-    pub threads: usize,
-    /// Whether to keep auxiliary relations in the sampled instances.
-    pub keep_aux: bool,
-    /// Cooperative cancellation: checked before each run starts, so a
-    /// serving layer can bound request latency. `None` never cancels.
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl Default for McConfig {
-    fn default() -> Self {
-        McConfig {
-            runs: 10_000,
-            max_steps: 10_000,
-            seed: 0xC0FFEE,
-            variant: ChaseVariant::Sequential(PolicyKind::Canonical),
-            threads: 1,
-            keep_aux: false,
-            deadline: None,
-        }
-    }
-}
-
 /// SplitMix64 finalizer: decorrelates per-run seeds from the master seed.
 pub(crate) fn derive_seed(master: u64, run: u64) -> u64 {
     let mut z = master ^ run.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Executes run `run_ix` and returns its observation: `Some(world)` for a
-/// terminated run, `None` for the error event (budget exhausted).
-pub(crate) fn single_run(
-    program: &CompiledProgram,
-    prepared: &crate::applicability::PreparedProgram,
-    input: &Instance,
-    config: &McConfig,
-    existential: &[usize],
-    run_ix: usize,
-) -> Result<Option<Instance>, EngineError> {
-    // Cooperative cancellation between runs: each run is bounded by
-    // `max_steps`, so the overage past the deadline is at most one run.
-    crate::exact::check_deadline(config.deadline)?;
-    let seed = derive_seed(config.seed, run_ix as u64);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let run = match config.variant {
-        ChaseVariant::Sequential(kind) => {
-            // Random policies get their own per-run stream.
-            let kind = match kind {
-                PolicyKind::Random { seed: s } => PolicyKind::Random {
-                    seed: derive_seed(s, run_ix as u64),
-                },
-                other => other,
-            };
-            let mut policy = ChasePolicy::new(kind, existential);
-            crate::sequential::run_sequential_prepared(
-                program,
-                prepared,
-                input,
-                &mut policy,
-                &mut rng,
-                config.max_steps,
-                false,
-            )
-            .map_err(EngineError::Dist)?
-        }
-        ChaseVariant::Parallel => crate::parallel::run_parallel_prepared(
-            program,
-            prepared,
-            input,
-            &mut rng,
-            config.max_steps,
-            false,
-        )
-        .map_err(EngineError::Dist)?,
-        ChaseVariant::Saturating => crate::saturate::run_saturating_prepared(
-            program,
-            prepared,
-            input,
-            &mut rng,
-            config.max_steps,
-            false,
-        )
-        .map_err(EngineError::Dist)?,
-    };
-    Ok(match run.outcome {
-        RunOutcome::Terminated => Some(if config.keep_aux {
-            run.instance
-        } else {
-            program.project_output(&run.instance)
-        }),
-        RunOutcome::BudgetExhausted => None,
-    })
-}
-
-/// Draws `config.runs` independent chase runs and collects them into an
-/// [`EmpiricalPdb`]. With `config.threads > 1` the runs are distributed by
-/// **work stealing** over a shared atomic run counter, so threads that draw
-/// short runs immediately pick up more work instead of idling at a chunk
-/// boundary. Results are bit-identical to the single-threaded execution:
-/// every run derives its own seed from its run index, and observations are
-/// merged in run-index order regardless of which worker produced them.
-///
-/// # Errors
-/// Propagates the runtime distribution failure of the smallest-index
-/// failing run (matching what a sequential execution would report).
-pub fn sample_pdb(
-    program: &CompiledProgram,
-    input: &Instance,
-    config: &McConfig,
-) -> Result<EmpiricalPdb, EngineError> {
-    let existential: Vec<usize> = program
-        .rules
-        .iter()
-        .filter(|r| r.is_existential())
-        .map(|r| r.id)
-        .collect();
-    let prepared = crate::applicability::PreparedProgram::new(program);
-    let threads = config.threads.max(1).min(config.runs.max(1));
-    if threads <= 1 {
-        let mut pdb = EmpiricalPdb::new();
-        for run_ix in 0..config.runs {
-            match single_run(program, &prepared, input, config, &existential, run_ix)? {
-                Some(world) => pdb.push(world),
-                None => pdb.push_error(),
-            }
-        }
-        return Ok(pdb);
-    }
-
-    let next_run = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    type RunObs = (usize, Result<Option<Instance>, EngineError>);
-    let mut per_worker: Vec<Vec<RunObs>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let next_run = &next_run;
-                let failed = &failed;
-                let prepared = &prepared;
-                let existential = &existential;
-                scope.spawn(move || {
-                    let mut local: Vec<RunObs> = Vec::new();
-                    loop {
-                        // Check the failure flag only *before* claiming:
-                        // every claimed index is executed, so the executed
-                        // runs form a contiguous prefix and the merge below
-                        // reports the same (smallest-index) failure a
-                        // sequential execution would.
-                        if failed.load(Ordering::Relaxed) {
-                            return local;
-                        }
-                        let run_ix = next_run.fetch_add(1, Ordering::Relaxed);
-                        if run_ix >= config.runs {
-                            return local;
-                        }
-                        let obs = single_run(program, prepared, input, config, existential, run_ix);
-                        if obs.is_err() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        local.push((run_ix, obs));
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    });
-
-    // Merge in run-index order for bit-identical output; report the
-    // smallest-index failure, as a sequential execution would.
-    let mut observations: Vec<RunObs> = per_worker.drain(..).flatten().collect();
-    observations.sort_by_key(|(ix, _)| *ix);
-    let mut pdb = EmpiricalPdb::new();
-    for (_, obs) in observations {
-        match obs? {
-            Some(world) => pdb.push(world),
-            None => pdb.push_error(),
-        }
-    }
-    Ok(pdb)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gdatalog_data::tuple;
-    use gdatalog_dist::Registry;
-    use gdatalog_lang::{parse_program, translate, validate, SemanticsMode};
-    use std::sync::Arc;
-
-    fn compile(src: &str) -> CompiledProgram {
-        let v = validate(parse_program(src).unwrap(), Arc::new(Registry::standard())).unwrap();
-        translate(&v, SemanticsMode::Grohe).unwrap()
-    }
-
-    #[test]
-    fn flip_frequency_matches_bias() {
-        let prog = compile("R(Flip<0.3>) :- true.");
-        let cfg = McConfig {
-            runs: 20_000,
-            max_steps: 100,
-            seed: 42,
-            ..McConfig::default()
-        };
-        let pdb = sample_pdb(&prog, &prog.initial_instance, &cfg).unwrap();
-        assert_eq!(pdb.errors(), 0);
-        let r = prog.catalog.require("R").unwrap();
-        let f = gdatalog_data::Fact::new(r, tuple![1i64]);
-        let p = pdb.marginal(&f);
-        assert!((p - 0.3).abs() < 0.01, "p = {p}");
-        // Aux relations projected away by default.
-        assert!(pdb.samples()[0]
-            .populated_relations()
-            .all(|rel| prog.output_relations.contains(&rel)));
-    }
-
-    #[test]
-    fn multithreaded_equals_singlethreaded() {
-        let prog = compile(
-            r#"
-            rel City(symbol, real) input.
-            City(gotham, 0.3).
-            Earthquake(C, Flip<0.1>) :- City(C, R).
-        "#,
-        );
-        let base = McConfig {
-            runs: 2_000,
-            max_steps: 100,
-            seed: 7,
-            ..McConfig::default()
-        };
-        let single = sample_pdb(&prog, &prog.initial_instance, &base).unwrap();
-        let multi = sample_pdb(
-            &prog,
-            &prog.initial_instance,
-            &McConfig { threads: 4, ..base },
-        )
-        .unwrap();
-        // Same per-run seeds → same multiset of outcomes.
-        assert_eq!(single.runs(), multi.runs());
-        let mut a = single.to_distribution();
-        let b = multi.to_distribution();
-        for (k, v) in &b {
-            let av = a.remove(k).unwrap_or(-1.0);
-            assert!((av - v).abs() < 1e-12);
-        }
-        assert!(a.is_empty());
-    }
-
-    #[test]
-    fn budget_exhaustion_counts_as_error_mass() {
-        let prog = compile(
-            r#"
-            C(0.0).
-            C(Normal<V, 1.0>) :- C(V).
-        "#,
-        );
-        let cfg = McConfig {
-            runs: 50,
-            max_steps: 30,
-            seed: 1,
-            ..McConfig::default()
-        };
-        let pdb = sample_pdb(&prog, &prog.initial_instance, &cfg).unwrap();
-        assert_eq!(pdb.errors(), 50, "a.s. non-terminating program");
-        assert_eq!(pdb.mass(), 0.0);
-    }
-
-    #[test]
-    fn elapsed_deadline_cancels_sampling() {
-        let prog = compile("R(Flip<0.5>) :- true.");
-        let cfg = McConfig {
-            runs: 1_000,
-            deadline: Some(std::time::Instant::now()),
-            ..McConfig::default()
-        };
-        let err = sample_pdb(&prog, &prog.initial_instance, &cfg).unwrap_err();
-        assert!(matches!(err, EngineError::DeadlineExceeded));
-        // Multi-threaded sampling cancels too.
-        let err = sample_pdb(
-            &prog,
-            &prog.initial_instance,
-            &McConfig { threads: 4, ..cfg },
-        )
-        .unwrap_err();
-        assert!(matches!(err, EngineError::DeadlineExceeded));
-    }
-
-    #[test]
-    fn parallel_variant_agrees_on_marginals() {
-        let prog = compile("R(Flip<0.6>) :- true.");
-        let r = prog.catalog.require("R").unwrap();
-        let f = gdatalog_data::Fact::new(r, tuple![1i64]);
-        let seq = sample_pdb(
-            &prog,
-            &prog.initial_instance,
-            &McConfig {
-                runs: 20_000,
-                seed: 3,
-                ..McConfig::default()
-            },
-        )
-        .unwrap();
-        let par = sample_pdb(
-            &prog,
-            &prog.initial_instance,
-            &McConfig {
-                runs: 20_000,
-                seed: 4,
-                variant: ChaseVariant::Parallel,
-                ..McConfig::default()
-            },
-        )
-        .unwrap();
-        assert!((seq.marginal(&f) - par.marginal(&f)).abs() < 0.02);
-    }
 }

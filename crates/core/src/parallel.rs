@@ -11,15 +11,32 @@
 //! paper's own (Grohe) translation every pair has a distinct key, so the
 //! grouping is a no-op and the step is precisely Def. 5.1.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
-use gdatalog_data::{Instance, RelId, Value};
+use gdatalog_data::{Instance, RelId, Tuple, Value};
 use gdatalog_dist::DistError;
-use gdatalog_lang::{CompiledProgram, RuleKind};
+use gdatalog_lang::{CompiledProgram, CompiledRule, RuleKind};
 use rand::Rng;
 
 use crate::applicability::{eval_terms, ChaseState, PreparedProgram};
 use crate::sequential::{fire, ChaseRun, RunOutcome, TraceStep};
+
+/// Whether `rule` fires under `valuation` in a parallel round that has
+/// sampled the experiments in `sampled` so far. A deterministic pair always
+/// fires. An existential pair fires only when its `(aux relation, key)`
+/// experiment is new this round, and then records it (see module docs).
+pub(crate) fn fires_in_round(
+    sampled: &mut HashSet<(RelId, Vec<Value>)>,
+    rule: &CompiledRule,
+    valuation: &Tuple,
+) -> bool {
+    match &rule.kind {
+        RuleKind::Deterministic { .. } => true,
+        RuleKind::Existential(e) => {
+            sampled.insert((e.aux_rel, eval_terms(&e.key_terms, valuation)))
+        }
+    }
+}
 
 /// Performs one parallel chase step. Returns `None` when `App(D)` is empty
 /// (the instance is absorbing), otherwise the follow-up instance and the
@@ -56,18 +73,13 @@ pub fn parallel_step_prepared(
     let mut next = instance.clone();
     let mut fired_count = 0usize;
     let mut local_trace = Vec::new();
-    // Experiments demanded this round, keyed by (aux relation, key tuple):
-    // sample once per distinct experiment.
-    let mut experiments_done: HashMap<(RelId, Vec<Value>), ()> = HashMap::new();
+    // Sample once per distinct experiment of this round.
+    let mut sampled = HashSet::new();
 
     for pair in &app {
         let rule = &program.rules[pair.rule];
-        if let RuleKind::Existential(e) = &rule.kind {
-            let key = eval_terms(&e.key_terms, &pair.valuation);
-            if experiments_done.contains_key(&(e.aux_rel, key.clone())) {
-                continue;
-            }
-            experiments_done.insert((e.aux_rel, key), ());
+        if !fires_in_round(&mut sampled, rule, &pair.valuation) {
+            continue;
         }
         let fired = fire(program, rule, &pair.valuation, rng)?;
         next.insert_fact(fired.fact);
@@ -121,7 +133,7 @@ pub fn run_parallel_prepared(
     let mut rounds = 0usize;
     let mut log_weight = 0.0;
     let mut trace = Vec::new();
-    let mut experiments_done: HashMap<(RelId, Vec<Value>), ()> = HashMap::new();
+    let mut sampled = HashSet::new();
     let outcome = loop {
         if rounds >= max_rounds {
             break RunOutcome::BudgetExhausted;
@@ -133,15 +145,11 @@ pub fn run_parallel_prepared(
         }
         // Fire every applicable pair of this round, sampling each distinct
         // experiment once (see module docs).
-        experiments_done.clear();
+        sampled.clear();
         for pair in app {
             let rule = &program.rules[pair.rule];
-            if let RuleKind::Existential(e) = &rule.kind {
-                let key = eval_terms(&e.key_terms, &pair.valuation);
-                if experiments_done.contains_key(&(e.aux_rel, key.clone())) {
-                    continue;
-                }
-                experiments_done.insert((e.aux_rel, key), ());
+            if !fires_in_round(&mut sampled, rule, &pair.valuation) {
+                continue;
             }
             let fired = fire(program, rule, &pair.valuation, rng)?;
             state.insert(prepared, fired.fact.rel, fired.fact.tuple);

@@ -532,20 +532,21 @@ impl<'a> Evaluation<'a> {
         self
     }
 
-    /// Sets the Monte-Carlo lane-batch size: how many runs the batched
+    /// Sets the Monte-Carlo lane-batch size: how many runs the lane-group
     /// executor drives in lockstep, sharing the deterministic chase
     /// prefix and the per-step kernel work (see [`EvalOptions::batch`]).
-    /// Results are **bit-identical** at any batch size; `1` disables
-    /// batching. This is a throughput knob, not a semantics knob.
+    /// Results are **bit-identical** at any batch size; at `1` every run
+    /// is a lane group of its own. This is a throughput knob, not a
+    /// semantics knob.
     ///
     /// ```
     /// use gdatalog_core::Session;
     /// use gdatalog_lang::SemanticsMode;
     ///
     /// let s = Session::from_source("R(Flip<0.5>) :- true.", SemanticsMode::Grohe).unwrap();
-    /// let scalar = s.eval().sample(2000).batch(1).pdb().unwrap();
+    /// let one_lane = s.eval().sample(2000).batch(1).pdb().unwrap();
     /// let batched = s.eval().sample(2000).batch(256).pdb().unwrap();
-    /// assert_eq!(scalar.samples(), batched.samples());
+    /// assert_eq!(one_lane.samples(), batched.samples());
     /// ```
     pub fn batch(mut self, batch: usize) -> Evaluation<'a> {
         self.options.batch = batch.max(1);

@@ -150,7 +150,7 @@ struct Args {
     /// `query --max-runs`: run-count cap for `--ess-target`.
     max_runs: Option<usize>,
     /// `--batch`: Monte-Carlo lane-batch size (bit-identical at any
-    /// value; `1` disables the batched executor).
+    /// value; at `1` every run is a lane group of its own).
     batch: Option<usize>,
     /// `query --burn-in`: MH burn-in steps (with `--mh`).
     burn_in: Option<usize>,
@@ -278,7 +278,7 @@ fn parse_args() -> Result<Args, String> {
                 if batch == 0 {
                     return Err(
                         "--batch 0 would schedule empty lane batches; pass at least 1 \
-                         (1 disables batching)"
+                         (at 1 each run is its own lane group)"
                             .to_string(),
                     );
                 }

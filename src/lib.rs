@@ -79,8 +79,8 @@ pub mod prelude {
     pub use gdatalog_core::{
         Answer, Answers, Backend, ChasePolicy, ChaseVariant, Engine, EngineError, EssTarget,
         EvalJob, EvalOptions, Evaluation, EvidenceSummary, ExactConfig, ExactParallelBackend,
-        ExactSequentialBackend, McBackend, McConfig, MhBackend, PolicyKind, PreparedProgram,
-        QueryIr, QuerySet, RunBudget, Session,
+        ExactSequentialBackend, McBackend, MhBackend, PolicyKind, PreparedProgram, QueryIr,
+        QuerySet, RunBudget, Session,
     };
     pub use gdatalog_data::{tuple, Catalog, ColType, Fact, Instance, RelId, Tuple, Value};
     pub use gdatalog_dist::{ParamDist, Registry};

@@ -1,7 +1,8 @@
-//! Acceptance suite for batched Monte-Carlo execution (PR 9): the lane-group
-//! executor (`--batch`) is a pure throughput knob. For every batch size,
-//! worker count, and conditioning mode the observed world stream is
-//! **bit-identical** to the scalar path (`batch(1)`, one worker) under the
+//! Acceptance suite for batched Monte-Carlo execution: the lane width of
+//! the lane-group executor (`--batch`) is a pure throughput knob. For
+//! every batch size, worker count, and conditioning mode the observed
+//! world stream is **bit-identical** to the one-lane, one-worker reference
+//! (`batch(1)`, where every run is a lane group of its own) under the
 //! same seed, ESS-targeted adaptive sampling included; and a deadline can
 //! only fire between lane batches, never corrupt one mid-flight.
 
@@ -21,7 +22,7 @@ const MIXED: &str = r#"
 "#;
 
 /// One recorded sink call, weights compared bit-for-bit (`f64` equality is
-/// deliberate: the batched path must replay the exact scalar stream).
+/// deliberate: every lane width must replay the exact `batch(1)` stream).
 #[derive(Debug, Clone, PartialEq)]
 enum Obs {
     World(Instance, f64),

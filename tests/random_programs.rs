@@ -1,13 +1,16 @@
 //! Property-based integration tests: randomly generated *weakly acyclic
 //! discrete* GDatalog programs satisfy the paper's guarantees —
 //! full-mass termination (Thm. 6.3), chase-order independence (Thm. 6.1),
-//! and the FD invariant (Lemma 3.10) — and the stepping loops' cached
-//! `App(D)` equals the from-scratch definition after every step.
+//! and the FD invariant (Lemma 3.10) — the stepping loops' cached
+//! `App(D)` equals the from-scratch definition after every step, and every
+//! Monte-Carlo chase variant streams the same observations at every lane
+//! width and worker count.
 //!
 //! Program shape: a layered pipeline `L0 → L1 → … → Lk` where each layer
 //! either copies, flips a coin parameterized by a constant, or joins two
 //! earlier layers. Layering guarantees weak acyclicity by construction.
 
+use std::any::Any;
 use std::collections::HashMap;
 
 use proptest::prelude::*;
@@ -18,6 +21,7 @@ use gdatalog::datalog::{Delta, Term};
 use gdatalog::engine::saturate::applicable_existential_pairs;
 use gdatalog::engine::{applicable_pairs, AppPair, ChaseState};
 use gdatalog::lang::{CompiledProgram, RuleKind};
+use gdatalog::pdb::DeficitKind;
 use gdatalog::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -151,6 +155,51 @@ fn chase_checked(
     Err(TestCaseError::fail("layered program did not terminate"))
 }
 
+/// One recorded sink call; weights compare bit-for-bit.
+#[derive(Debug, Clone, PartialEq)]
+enum Obs {
+    World(Instance, f64),
+    LogWorld(Instance, f64),
+    Deficit(DeficitKind, f64),
+}
+
+/// Records every observation in stream order; forked sinks are joined in
+/// chunk order, so the record is the run-order stream at any worker count.
+#[derive(Default)]
+struct RecordingSink {
+    obs: Vec<Obs>,
+}
+
+impl WorldSink for RecordingSink {
+    fn observe(&mut self, world: Instance, weight: f64) {
+        self.obs.push(Obs::World(world, weight));
+    }
+
+    fn observe_log(&mut self, world: Instance, log_weight: f64) {
+        self.obs.push(Obs::LogWorld(world, log_weight));
+    }
+
+    fn observe_deficit(&mut self, kind: DeficitKind, weight: f64) {
+        self.obs.push(Obs::Deficit(kind, weight));
+    }
+
+    fn fork(&self) -> Option<Box<dyn WorldSink>> {
+        Some(Box::<RecordingSink>::default())
+    }
+
+    fn join(&mut self, forked: Box<dyn WorldSink>) {
+        let other = forked
+            .into_any()
+            .downcast::<RecordingSink>()
+            .expect("join requires a RecordingSink");
+        self.obs.extend(other.obs);
+    }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -258,6 +307,58 @@ proptest! {
             },
             false,
         )?;
+    }
+
+    /// The lane-group executor is a pure throughput knob for every chase
+    /// variant: the stream recorded through `collect_into` is identical at
+    /// batch 1, 7 and 64 and at 1 and 2 worker threads.
+    #[test]
+    fn mc_streams_are_invariant_to_batch_and_threads(
+        layers in proptest::collection::vec(arb_layer(), 1..4),
+        seeds in 1u8..3,
+        seed in 0u64..1_000,
+        barany in 0u8..2,
+    ) {
+        let src = render(&layers, seeds);
+        let mode = if barany == 1 { SemanticsMode::Barany } else { SemanticsMode::Grohe };
+        let engine = Engine::from_source(&src, mode)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+        for variant in [
+            ChaseVariant::Sequential(PolicyKind::Canonical),
+            ChaseVariant::Sequential(PolicyKind::Reverse),
+            ChaseVariant::Sequential(PolicyKind::RoundRobin),
+            ChaseVariant::Sequential(PolicyKind::DeterministicFirst),
+            ChaseVariant::Sequential(PolicyKind::Random { seed }),
+            ChaseVariant::Parallel,
+            ChaseVariant::Saturating,
+        ] {
+            let stream = |batch: usize, threads: usize| {
+                let mut sink = RecordingSink::default();
+                engine
+                    .eval()
+                    .sample(40)
+                    .seed(seed)
+                    .variant(variant)
+                    .batch(batch)
+                    .threads(threads)
+                    .collect_into(&mut sink)
+                    .map(|_| sink.obs)
+            };
+            let reference = stream(1, 1)
+                .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+            prop_assert_eq!(reference.len(), 40);
+            for batch in [1, 7, 64] {
+                for threads in [1, 2] {
+                    let got = stream(batch, threads)
+                        .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+                    prop_assert!(
+                        got == reference,
+                        "{:?}: batch {} × {} threads diverged on\n{}",
+                        variant, batch, threads, src
+                    );
+                }
+            }
+        }
     }
 
     #[test]

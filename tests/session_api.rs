@@ -7,11 +7,12 @@
 //! (Until 0.2.0 this suite compared the builder against the deprecated
 //! `Engine::{enumerate, sample, …}` shims; those are gone, so the
 //! reference side is now the public low-level functions themselves —
-//! `enumerate_sequential`, `enumerate_parallel`, `sample_pdb`,
-//! `run_sequential` — which is a strictly stronger check.)
+//! `enumerate_sequential`, `enumerate_parallel`, `run_sequential`, and
+//! `McBackend::run` on a hand-built `EvalJob` — which is a strictly
+//! stronger check.)
 
-use gdatalog::engine::{enumerate_parallel, enumerate_sequential, run_sequential, sample_pdb};
-use gdatalog::pdb::{query_moments, MarginalSink, WorldSink};
+use gdatalog::engine::{enumerate_parallel, enumerate_sequential, run_sequential};
+use gdatalog::pdb::{query_moments, EmpiricalSink, MarginalSink, WorldSink};
 use gdatalog::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -133,66 +134,102 @@ fn exact_config_knobs_flow_through_builder() {
     assert!(new.deficit().nontermination > 0.0);
 }
 
+/// Every Monte-Carlo chase variant.
+const VARIANTS: [ChaseVariant; 7] = [
+    ChaseVariant::Sequential(PolicyKind::Canonical),
+    ChaseVariant::Sequential(PolicyKind::Reverse),
+    ChaseVariant::Sequential(PolicyKind::RoundRobin),
+    ChaseVariant::Sequential(PolicyKind::DeterministicFirst),
+    ChaseVariant::Sequential(PolicyKind::Random { seed: 8 }),
+    ChaseVariant::Parallel,
+    ChaseVariant::Saturating,
+];
+
+/// The Monte-Carlo reference: `McBackend::run` over an `EmpiricalSink` on
+/// a hand-built `EvalJob` for the program's own initial instance.
+fn reference_mc(engine: &Engine, options: &EvalOptions) -> EmpiricalPdb {
+    let job = EvalJob {
+        program: engine.program(),
+        prepared: None,
+        input: &engine.program().initial_instance,
+        options,
+        observes: &[],
+    };
+    let mut sink = EmpiricalSink::new();
+    McBackend.run(&job, &mut sink).unwrap();
+    sink.finish()
+}
+
 #[test]
-fn mc_builder_bit_identical_to_sample_pdb_single_and_multi_threaded() {
+fn mc_builder_bit_identical_to_mc_backend_single_and_multi_threaded() {
     let engine = Engine::from_source(BURGLARY, SemanticsMode::Grohe).unwrap();
-    for threads in [1, 4] {
-        let config = McConfig {
-            runs: 3_000,
-            seed: 99,
-            threads,
-            ..McConfig::default()
-        };
-        let reference = sample_pdb(
-            engine.program(),
-            &engine.program().initial_instance,
-            &config,
-        )
-        .unwrap();
-        let new = engine
+    for variant in VARIANTS {
+        let single = engine
             .eval()
-            .sample(3_000)
+            .sample(1_000)
             .seed(99)
-            .threads(threads)
+            .variant(variant)
             .pdb()
             .unwrap();
-        assert_eq!(reference.samples(), new.samples(), "threads = {threads}");
-        assert_eq!(reference.errors(), new.errors());
-        // And thread count itself never changes the result.
-        let single = engine.eval().sample(3_000).seed(99).pdb().unwrap();
-        assert_eq!(single.samples(), new.samples());
+        for threads in [1, 4] {
+            let options = EvalOptions {
+                runs: 1_000,
+                seed: 99,
+                threads,
+                variant,
+                ..EvalOptions::default()
+            };
+            let reference = reference_mc(&engine, &options);
+            let new = engine
+                .eval()
+                .sample(1_000)
+                .seed(99)
+                .threads(threads)
+                .variant(variant)
+                .pdb()
+                .unwrap();
+            let label = format!("{variant:?} at {threads} threads");
+            assert_eq!(reference.samples(), new.samples(), "{label}");
+            assert_eq!(reference.errors(), new.errors(), "{label}");
+            // And thread count itself never changes the result.
+            assert_eq!(single.samples(), new.samples(), "{label}");
+        }
     }
 }
 
 #[test]
-fn mc_variants_flow_through_builder() {
+fn mc_knobs_flow_through_builder() {
     let engine = Engine::from_source(BURGLARY, SemanticsMode::Grohe).unwrap();
-    for variant in [
-        ChaseVariant::Sequential(PolicyKind::Reverse),
-        ChaseVariant::Parallel,
-        ChaseVariant::Saturating,
-    ] {
-        let config = McConfig {
-            runs: 500,
-            seed: 5,
-            variant,
-            ..McConfig::default()
-        };
-        let reference = sample_pdb(
-            engine.program(),
-            &engine.program().initial_instance,
-            &config,
-        )
-        .unwrap();
-        let new = engine
-            .eval()
-            .sample(500)
-            .seed(5)
-            .variant(variant)
-            .pdb()
-            .unwrap();
-        assert_eq!(reference.samples(), new.samples(), "variant {variant:?}");
+    let mut exhausted = 0;
+    for variant in VARIANTS {
+        for threads in [1, 4] {
+            let options = EvalOptions {
+                runs: 500,
+                seed: 5,
+                threads,
+                variant,
+                max_depth: 12,
+                keep_aux: true,
+                ..EvalOptions::default()
+            };
+            let reference = reference_mc(&engine, &options);
+            let new = engine
+                .eval()
+                .sample(500)
+                .seed(5)
+                .threads(threads)
+                .variant(variant)
+                .max_depth(12)
+                .keep_aux(true)
+                .pdb()
+                .unwrap();
+            let label = format!("{variant:?} at {threads} threads");
+            assert_eq!(reference.samples(), new.samples(), "{label}");
+            assert_eq!(reference.errors(), new.errors(), "{label}");
+            exhausted += new.errors();
+        }
     }
+    assert!(exhausted > 0, "the step budget must cut some runs");
 }
 
 #[test]
