@@ -19,7 +19,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use gdatalog_serve::json::Json;
-use gdatalog_serve::ServeError;
+use gdatalog_serve::{batch_items, ServeError};
 
 use crate::http::Conn;
 
@@ -111,16 +111,7 @@ impl LoadgenReport {
 /// or does not parse at all.
 pub fn bodies_from_json(doc: &str) -> Result<Vec<String>, ServeError> {
     let parsed = Json::parse(doc).map_err(ServeError::from)?;
-    let items = parsed
-        .get("requests")
-        .and_then(Json::as_array)
-        .or_else(|| parsed.as_array())
-        .ok_or_else(|| {
-            ServeError::Json(
-                "expected a top-level array of requests or an object with a `requests` array"
-                    .to_string(),
-            )
-        })?;
+    let items = batch_items(&parsed)?;
     if items.is_empty() {
         return Err(ServeError::Json("the request corpus is empty".to_string()));
     }

@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use gdatalog_core::EngineError;
 use gdatalog_lang::SemanticsMode;
 use gdatalog_serve::json::Json;
-use gdatalog_serve::{Metrics, ProgramCache, Request, ServeError, Server};
+use gdatalog_serve::{batch_items, Metrics, ProgramCache, Request, ServeError, Server};
 
 use crate::http::{Conn, HttpError, HttpRequest};
 
@@ -394,17 +394,9 @@ fn handle_batch(shared: &Shared, body: &str) -> (u16, String) {
         Ok(v) => v,
         Err(e) => return rejected(&ServeError::from(e)),
     };
-    let items = match doc
-        .get("requests")
-        .and_then(Json::as_array)
-        .or_else(|| doc.as_array())
-    {
-        Some(items) => items,
-        None => {
-            return rejected(&ServeError::Json(
-                "expected a top-level array or an object with a `requests` array".to_string(),
-            ))
-        }
+    let items = match batch_items(&doc) {
+        Ok(items) => items,
+        Err(e) => return rejected(&e),
     };
     let mut requests = Vec::with_capacity(items.len());
     for item in items {

@@ -61,8 +61,10 @@
 //! assert_eq!(cache.stats().misses, 1);
 //! ```
 //!
-//! The same surface drives `gdl batch <requests.json>`; the wire format
-//! lives in [`request`] and the dependency-free JSON reader in [`json`].
+//! The same surface drives `gdl batch <requests.json>` and `gdl query`,
+//! which lowers its flags to a [`Request`] and answers through
+//! [`execute_with`]; the wire format lives in [`request`] and the
+//! dependency-free JSON reader in [`json`].
 
 use std::fmt;
 
@@ -79,8 +81,11 @@ pub mod server;
 pub use cache::{CacheStats, PreparedModel, ProgramCache, CACHE_SHARDS};
 pub use metrics::{Metrics, MetricsRecorder};
 pub use pool::{PoolStats, PooledSession, SessionPool, DEFAULT_MAX_IDLE, POOL_SHARDS};
-pub use request::{fact_text, query_from_json, BackendSpec, QueryKind, Reply, Request, Response};
-pub use server::{execute_on, BatchExecutor, Server};
+pub use request::{
+    batch_items, fact_text, parse_agg, query_from_json, BackendSpec, QueryKind, Reply, Request,
+    Response,
+};
+pub use server::{execute_on, execute_with, BatchExecutor, Server};
 
 /// Errors of the serving layer.
 #[derive(Debug, Clone)]

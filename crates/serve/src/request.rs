@@ -39,6 +39,7 @@
 
 use gdatalog_core::EvidenceSummary;
 use gdatalog_data::{Catalog, Fact};
+use gdatalog_lang::CompiledProgram;
 use gdatalog_pdb::{AggFun, ColumnHistogram, Moments};
 
 use crate::json::Json;
@@ -346,8 +347,8 @@ impl Request {
     /// top-level configuration members).
     ///
     /// # Errors
-    /// [`ServeError::BadRequest`] on unknown kinds, missing fields, or a
-    /// request mixing both forms.
+    /// [`ServeError::BadRequest`] on unknown kinds, missing fields, a
+    /// request mixing both forms, or one failing [`Request::validate`].
     pub fn from_json(v: &Json) -> Result<Request, ServeError> {
         // Optional members: absent is fine, present-but-invalid (wrong
         // type, negative, fractional, or beyond the exact-f64 range) is
@@ -439,11 +440,6 @@ impl Request {
                 let target = obj.get("target").and_then(Json::as_f64).ok_or_else(|| {
                     ServeError::BadRequest("`infer` needs a numeric `target`".to_string())
                 })?;
-                if !target.is_finite() || target < 1.0 {
-                    return Err(ServeError::BadRequest(format!(
-                        "`infer.target` must be a finite effective sample size ≥ 1, got {target}"
-                    )));
-                }
                 let cap = match obj.get("max_runs") {
                     None => None,
                     Some(n) => Some(n.as_usize().ok_or_else(|| {
@@ -469,7 +465,7 @@ impl Request {
             }
             (input, legacy) => input.or(legacy),
         };
-        Ok(Request {
+        let request = Request {
             queries,
             input,
             given: opt_str("given")?,
@@ -484,8 +480,103 @@ impl Request {
             // Deadlines are a serving-layer policy (set from the server's
             // configuration), not a wire member a client can extend.
             deadline: None,
-        })
+        };
+        request.validate()?;
+        Ok(request)
     }
+
+    /// The checks that do not depend on the program, in one place for
+    /// parsed, builder-made and CLI-lowered requests alike: at least one
+    /// query; an ESS target that is finite and ≥ 1 and rides on a
+    /// sampling backend other than MH; a run cap only with an ESS target;
+    /// burn-in and thinning only with MH. [`Request::from_json`] runs
+    /// them at parse time and the executor before any evaluation.
+    ///
+    /// # Errors
+    /// [`ServeError::BadRequest`] naming the offending member.
+    pub fn validate(&self) -> Result<(), ServeError> {
+        let bad = |msg: String| Err(ServeError::BadRequest(msg));
+        if self.queries.is_empty() {
+            return bad("request asks no queries".to_string());
+        }
+        if let Some(target) = self.ess_target {
+            if !target.is_finite() || target < 1.0 {
+                return bad(format!(
+                    "`infer.target` must be a finite effective sample size ≥ 1, got {target}"
+                ));
+            }
+            if !matches!(self.backend, BackendSpec::Auto | BackendSpec::Mc) {
+                return bad(format!(
+                    "`infer` (ESS-adaptive run control) requires the Monte-Carlo \
+                     backend, but the request asks for `{:?}`",
+                    self.backend
+                ));
+            }
+        } else if self.max_runs.is_some() {
+            return bad(
+                "`infer.max_runs` caps ESS-adaptive run growth; it needs an \
+                 `infer` target"
+                    .to_string(),
+            );
+        }
+        if self.backend != BackendSpec::Mh && (self.burn_in.is_some() || self.thin.is_some()) {
+            return bad(
+                "`burn_in`/`thin` configure the Metropolis-Hastings chain; they \
+                 need the `mh` backend"
+                    .to_string(),
+            );
+        }
+        Ok(())
+    }
+
+    /// Whether the request evaluates by sampling rather than by exact
+    /// enumeration: an explicit backend decides; `auto` samples under an
+    /// ESS target or when `program` draws from a continuous distribution.
+    pub fn samples(&self, program: &CompiledProgram) -> bool {
+        match self.backend {
+            BackendSpec::Mc | BackendSpec::Mh => true,
+            BackendSpec::Exact | BackendSpec::ExactParallel => false,
+            BackendSpec::Auto => self.ess_target.is_some() || !program.all_discrete(),
+        }
+    }
+}
+
+/// The request objects of a batch document: a top-level array, or an
+/// object with a `requests` array — the shapes `gdl batch`,
+/// `POST /v1/batch` and the load generator all read.
+///
+/// # Errors
+/// [`ServeError::Json`] when the document has neither shape.
+pub fn batch_items(doc: &Json) -> Result<&[Json], ServeError> {
+    doc.get("requests")
+        .and_then(Json::as_array)
+        .or_else(|| doc.as_array())
+        .ok_or_else(|| {
+            ServeError::Json(
+                "expected a top-level array of requests or an object with a `requests` array"
+                    .to_string(),
+            )
+        })
+}
+
+/// Parses an aggregate name as the wire's `agg` member spells it.
+///
+/// # Errors
+/// [`ServeError::BadRequest`] for a name other than `count | sum | avg |
+/// min | max`.
+pub fn parse_agg(name: &str) -> Result<AggFun, ServeError> {
+    Ok(match name {
+        "count" => AggFun::Count,
+        "sum" => AggFun::Sum,
+        "avg" => AggFun::Avg,
+        "min" => AggFun::Min,
+        "max" => AggFun::Max,
+        other => {
+            return Err(ServeError::BadRequest(format!(
+                "unknown aggregate `{other}`"
+            )))
+        }
+    })
 }
 
 /// Parses one query object (the `"kind"` + kind-specific fields shape
@@ -538,18 +629,7 @@ pub fn query_from_json(v: &Json) -> Result<QueryKind, ServeError> {
         },
         "expectation" => QueryKind::Expectation {
             rel: str_field("rel")?,
-            agg: match opt_str("agg")?.as_deref().unwrap_or("count") {
-                "count" => AggFun::Count,
-                "sum" => AggFun::Sum,
-                "avg" => AggFun::Avg,
-                "min" => AggFun::Min,
-                "max" => AggFun::Max,
-                other => {
-                    return Err(ServeError::BadRequest(format!(
-                        "unknown aggregate `{other}`"
-                    )))
-                }
-            },
+            agg: parse_agg(opt_str("agg")?.as_deref().unwrap_or("count"))?,
             col: opt_usize("col")?,
         },
         "histogram" => QueryKind::Histogram {
@@ -598,29 +678,35 @@ pub enum Response {
 }
 
 impl Response {
+    /// The wire name of the response's query kind.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Response::Marginal(_) => "marginal",
+            Response::Probability(_) => "probability",
+            Response::Expectation(_) => "expectation",
+            Response::Histogram(_) => "histogram",
+            Response::Marginals(_) => "marginals",
+            Response::Quantile(_) => "quantile",
+            Response::Tail(_) => "tail",
+        }
+    }
+
     /// Renders the response as a JSON object tagged with its kind.
     pub fn to_json(&self) -> Json {
-        match self {
-            Response::Marginal(p) => Json::Obj(vec![
-                ("kind".into(), Json::Str("marginal".into())),
-                ("p".into(), Json::Num(*p)),
-            ]),
-            Response::Probability(p) => Json::Obj(vec![
-                ("kind".into(), Json::Str("probability".into())),
-                ("p".into(), Json::Num(*p)),
-            ]),
-            Response::Expectation(None) => Json::Obj(vec![
-                ("kind".into(), Json::Str("expectation".into())),
-                ("empty".into(), Json::Bool(true)),
-            ]),
-            Response::Expectation(Some(m)) => Json::Obj(vec![
-                ("kind".into(), Json::Str("expectation".into())),
+        let mut members = vec![("kind".into(), Json::Str(self.kind().into()))];
+        members.extend(match self {
+            Response::Marginal(p) | Response::Probability(p) | Response::Tail(p) => {
+                vec![("p".into(), Json::Num(*p))]
+            }
+            Response::Expectation(None) | Response::Quantile(None) => {
+                vec![("empty".into(), Json::Bool(true))]
+            }
+            Response::Expectation(Some(m)) => vec![
                 ("mean".into(), Json::Num(m.mean)),
                 ("variance".into(), Json::Num(m.variance)),
                 ("mass".into(), Json::Num(m.mass)),
-            ]),
-            Response::Histogram(h) => Json::Obj(vec![
-                ("kind".into(), Json::Str("histogram".into())),
+            ],
+            Response::Histogram(h) => vec![
                 ("lo".into(), Json::Num(h.lo)),
                 ("hi".into(), Json::Num(h.hi)),
                 (
@@ -631,36 +717,23 @@ impl Response {
                 ("overflow".into(), Json::Num(h.overflow)),
                 ("nan".into(), Json::Num(h.nan)),
                 ("mass".into(), Json::Num(h.mass)),
-            ]),
-            Response::Marginals(rows) => Json::Obj(vec![
-                ("kind".into(), Json::Str("marginals".into())),
-                (
-                    "marginals".into(),
-                    Json::Arr(
-                        rows.iter()
-                            .map(|(fact, p)| {
-                                Json::Obj(vec![
-                                    ("fact".into(), Json::Str(fact.clone())),
-                                    ("p".into(), Json::Num(*p)),
-                                ])
-                            })
-                            .collect(),
-                    ),
+            ],
+            Response::Marginals(rows) => vec![(
+                "marginals".into(),
+                Json::Arr(
+                    rows.iter()
+                        .map(|(fact, p)| {
+                            Json::Obj(vec![
+                                ("fact".into(), Json::Str(fact.clone())),
+                                ("p".into(), Json::Num(*p)),
+                            ])
+                        })
+                        .collect(),
                 ),
-            ]),
-            Response::Quantile(None) => Json::Obj(vec![
-                ("kind".into(), Json::Str("quantile".into())),
-                ("empty".into(), Json::Bool(true)),
-            ]),
-            Response::Quantile(Some(value)) => Json::Obj(vec![
-                ("kind".into(), Json::Str("quantile".into())),
-                ("value".into(), Json::Num(*value)),
-            ]),
-            Response::Tail(p) => Json::Obj(vec![
-                ("kind".into(), Json::Str("tail".into())),
-                ("p".into(), Json::Num(*p)),
-            ]),
-        }
+            )],
+            Response::Quantile(Some(value)) => vec![("value".into(), Json::Num(*value))],
+        });
+        Json::Obj(members)
     }
 }
 
@@ -889,6 +962,69 @@ mod tests {
         ] {
             let v = Json::parse(bad).unwrap();
             assert!(Request::from_json(&v).is_err(), "{bad} should be rejected");
+        }
+    }
+
+    #[test]
+    fn validation_rejects_program_independent_contradictions() {
+        let bad_request = |r: Request| matches!(r.validate(), Err(ServeError::BadRequest(_)));
+        // MH chain controls without the MH backend.
+        assert!(bad_request(Request::marginal("A(x)").burn_in(5)));
+        assert!(bad_request(Request::marginal("A(x)").exact().thin(2)));
+        assert!(Request::marginal("A(x)")
+            .mh(10)
+            .burn_in(5)
+            .thin(2)
+            .validate()
+            .is_ok());
+        // A run cap without an ESS target.
+        assert!(bad_request(Request::marginal("A(x)").max_runs(1_000)));
+        assert!(Request::marginal("A(x)")
+            .ess_target(10.0)
+            .max_runs(1_000)
+            .validate()
+            .is_ok());
+        // ESS targets: finite, ≥ 1, and on a Monte-Carlo backend.
+        for target in [f64::NAN, f64::INFINITY, 0.0, 0.5] {
+            assert!(bad_request(Request::marginal("A(x)").ess_target(target)));
+        }
+        assert!(bad_request(
+            Request::marginal("A(x)").exact().ess_target(10.0)
+        ));
+        assert!(bad_request(
+            Request::marginal("A(x)").mh(10).ess_target(10.0)
+        ));
+        assert!(Request::marginal("A(x)")
+            .mc(10)
+            .ess_target(10.0)
+            .validate()
+            .is_ok());
+        assert!(bad_request(Request::multi(Vec::new())));
+        // The parser runs the same checks, so a batch document carrying
+        // one of these fails as a whole.
+        for bad in [
+            r#"{"kind": "marginal", "fact": "A(x)", "burn_in": 5}"#,
+            r#"{"kind": "marginal", "fact": "A(x)", "backend": "exact", "thin": 2}"#,
+            r#"{"kind": "marginal", "fact": "A(x)", "backend": "exact",
+                "infer": {"mode": "ess", "target": 10}}"#,
+        ] {
+            let v = Json::parse(bad).unwrap();
+            assert!(
+                matches!(Request::from_json(&v), Err(ServeError::BadRequest(_))),
+                "{bad} should be rejected at parse time"
+            );
+        }
+    }
+
+    #[test]
+    fn batch_items_reads_both_document_shapes() {
+        let arr = Json::parse(r#"[{"kind": "marginals", "rel": "A"}]"#).unwrap();
+        assert_eq!(batch_items(&arr).unwrap().len(), 1);
+        let obj = Json::parse(r#"{"requests": [{"kind": "marginals", "rel": "A"}, 1]}"#).unwrap();
+        assert_eq!(batch_items(&obj).unwrap().len(), 2);
+        for bad in [r#"{"requests": 5}"#, r#"{"nope": []}"#, "7"] {
+            let v = Json::parse(bad).unwrap();
+            assert!(matches!(batch_items(&v), Err(ServeError::Json(_))), "{bad}");
         }
     }
 

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gdatalog_core::{Answer, EngineError, QueryIr, QuerySet, Session};
+use gdatalog_core::{Answer, EngineError, Evaluation, QueryIr, QuerySet, Session};
 use gdatalog_lang::{parse_facts, CompiledProgram, SemanticsMode};
 use gdatalog_pdb::{Event, Query};
 
@@ -181,49 +181,63 @@ fn render_answer(answer: Answer, program: &CompiledProgram) -> Response {
     }
 }
 
-/// Evaluates one request on a (clean) session: the session's extensional
-/// database is extended with the request's input facts, **all** of the
-/// request's queries are compiled against the catalog, and a single
-/// backend pass answers every one of them (the multiplexed
-/// `Evaluation::answer` path — a K-query request costs one
-/// chase/enumeration/Monte-Carlo pass, not K). The caller is responsible
-/// for [`Session::reset`] afterwards (the pool and executor do this
-/// automatically).
+/// Evaluates one request on a (clean) session: the request is
+/// validated, the session's extensional database is extended with the
+/// request's input facts, **all** of the request's queries are compiled
+/// against the catalog, and a single backend pass answers every one of
+/// them (the multiplexed `Evaluation::answer` path — a K-query request
+/// costs one chase/enumeration/Monte-Carlo pass, not K). The caller is
+/// responsible for [`Session::reset`] afterwards (the pool and executor
+/// do this automatically).
 ///
 /// # Errors
-/// [`ServeError::BadRequest`] for unresolvable names/malformed specs or
-/// an empty query list, engine errors from evaluation.
+/// [`ServeError::BadRequest`] for invalid requests, unresolvable names or
+/// malformed specs; engine errors from evaluation.
 pub fn execute_on(session: &mut Session, request: &Request) -> Result<Reply, ServeError> {
+    execute_with(session, request, |eval| eval)
+}
+
+/// [`execute_on`] with a `tune` step that may adjust the configured
+/// [`Evaluation`] before it runs — for knobs that are not part of a
+/// request, such as the Monte-Carlo thread count or lane-batch width of
+/// a command-line run.
+///
+/// # Errors
+/// As [`execute_on`].
+pub fn execute_with(
+    session: &mut Session,
+    request: &Request,
+    tune: impl FnOnce(Evaluation<'_>) -> Evaluation<'_>,
+) -> Result<Reply, ServeError> {
+    request.validate()?;
     if let Some(input) = &request.input {
         session.insert_facts_text(input)?;
     }
     let program = session.program();
-    if request.queries.is_empty() {
-        return Err(ServeError::BadRequest(
-            "request asks no queries".to_string(),
-        ));
-    }
     let mut queries = QuerySet::new();
     for kind in &request.queries {
         queries.push(compile_query(kind, program)?);
     }
-    // Backend selection mirrors the CLI: an explicit choice wins, auto
-    // picks Monte-Carlo exactly when the program samples a continuous
-    // distribution. An `infer` member (ESS-adaptive run control) rides on
-    // the Monte-Carlo path only — pairing it with an exact or MH backend
-    // is a contradiction the client should hear about.
-    let mc = match request.backend {
-        BackendSpec::Mc => true,
-        BackendSpec::Exact | BackendSpec::ExactParallel | BackendSpec::Mh => false,
-        BackendSpec::Auto => !program.all_discrete(),
-    };
-    if request.ess_target.is_some() && !mc && request.backend != BackendSpec::Auto {
-        return Err(ServeError::BadRequest(format!(
-            "`infer` (ESS-adaptive run control) requires the Monte-Carlo \
-             backend, but the request asks for `{:?}`",
-            request.backend
-        )));
-    }
+    let answers = tune(configure(session, request)).answer(&queries)?;
+    // Conditioning diagnostics ride along instead of being discarded: the
+    // pass's evidence mass and effective sample size, computed once for
+    // the whole query set.
+    let evidence = answers.conditioned().then(|| answers.evidence());
+    let responses = answers
+        .into_iter()
+        .map(|answer| render_answer(answer, program))
+        .collect();
+    Ok(Reply {
+        responses,
+        evidence,
+    })
+}
+
+/// Maps a validated request onto an evaluation of `session`: the one
+/// backend-and-budget step. An explicit backend wins; `infer` switches
+/// the Monte-Carlo path to adaptive run control; `auto` samples exactly
+/// when [`Request::samples`] says so and otherwise lets the builder pick.
+fn configure<'s>(session: &'s Session, request: &Request) -> Evaluation<'s> {
     let mut eval = session.eval();
     if let Some(seed) = request.seed {
         eval = eval.seed(seed);
@@ -237,15 +251,16 @@ pub fn execute_on(session: &mut Session, request: &Request) -> Result<Reply, Ser
     if let Some(deadline) = request.deadline {
         eval = eval.deadline(deadline);
     }
-    eval = if request.backend == BackendSpec::Mh {
-        let mut eval = eval.mh(request.runs.unwrap_or(10_000));
-        if let Some(steps) = request.burn_in {
-            eval = eval.burn_in(steps);
-        }
-        if let Some(every) = request.thin {
-            eval = eval.thin(every);
-        }
-        eval
+    // Validation admits these only on the MH backend.
+    if let Some(steps) = request.burn_in {
+        eval = eval.burn_in(steps);
+    }
+    if let Some(every) = request.thin {
+        eval = eval.thin(every);
+    }
+    let runs = request.runs.unwrap_or(10_000);
+    if request.backend == BackendSpec::Mh {
+        eval.mh(runs)
     } else if let Some(target) = request.ess_target {
         let mut target = gdatalog_core::EssTarget::new(target);
         if let Some(cap) = request.max_runs {
@@ -255,28 +270,15 @@ pub fn execute_on(session: &mut Session, request: &Request) -> Result<Reply, Ser
             target = target.initial_batch(batch);
         }
         eval.sample_until(target)
-    } else if mc {
-        eval.sample(request.runs.unwrap_or(10_000))
+    } else if request.samples(session.program()) {
+        eval.sample(runs)
+    } else if request.backend == BackendSpec::ExactParallel {
+        eval.exact_parallel()
+    } else if request.backend == BackendSpec::Exact {
+        eval.exact()
     } else {
-        match request.backend {
-            BackendSpec::ExactParallel => eval.exact_parallel(),
-            BackendSpec::Exact => eval.exact(),
-            _ => eval,
-        }
-    };
-    let answers = eval.answer(&queries)?;
-    // Conditioning diagnostics ride along instead of being discarded: the
-    // pass's evidence mass and effective sample size, computed once for
-    // the whole query set.
-    let evidence = answers.conditioned().then(|| answers.evidence());
-    let responses = answers
-        .into_iter()
-        .map(|answer| render_answer(answer, program))
-        .collect();
-    Ok(Reply {
-        responses,
-        evidence,
-    })
+        eval
+    }
 }
 
 fn ensure_dot(text: &str) -> String {
@@ -736,6 +738,50 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Checks that do not depend on the program reject builder-made
+    /// requests before any evaluation, on every execution path.
+    #[test]
+    fn executor_rejects_invalid_builder_requests() {
+        let server = Server::from_source(SRC, SemanticsMode::Grohe).unwrap();
+        let base = || Request::marginal("Alarm(a)").input("City(a, 0.3).");
+        for request in [
+            base().burn_in(5),
+            base().exact().thin(2),
+            base().max_runs(100),
+        ] {
+            assert!(matches!(
+                server.execute(&request),
+                Err(ServeError::BadRequest(_))
+            ));
+            let mut session = server.pool().checkout_for(0);
+            assert!(matches!(
+                execute_on(&mut session, &request),
+                Err(ServeError::BadRequest(_))
+            ));
+        }
+        // The valid MH form of the same request answers.
+        assert!(server.execute(&base().mh(200).burn_in(5).thin(2)).is_ok());
+    }
+
+    /// `execute_with`'s tune step runs after the request is configured,
+    /// so what it sets wins; a lane-batch width never changes an answer.
+    #[test]
+    fn tune_step_adjusts_the_configured_evaluation() {
+        let server = Server::from_source(SRC, SemanticsMode::Grohe).unwrap();
+        let request = Request::marginals("Alarm")
+            .input("City(a, 0.3). City(b, 0.6).")
+            .mc(3_000)
+            .seed(5);
+        let plain = server.execute(&request).unwrap();
+        let mut session = server.pool().checkout_for(0);
+        let batched = execute_with(&mut session, &request, |eval| eval.batch(7)).unwrap();
+        assert_eq!(plain, batched);
+        session.reset();
+        let reseeded = execute_with(&mut session, &request, |eval| eval.seed(9)).unwrap();
+        assert_ne!(plain, reseeded);
+        assert_eq!(reseeded, server.execute(&request.clone().seed(9)).unwrap());
     }
 
     /// An expired deadline surfaces as `EngineError::DeadlineExceeded`

@@ -2,10 +2,11 @@
 //!
 //! ```text
 //! gdl check  <file.gdl>                  parse + validate + analyze + show Ĝ
-//! gdl exact  <file.gdl> [--barany] [--depth N] [--input facts.gdl] [--format json]
+//! gdl exact  <file.gdl> [--barany] [--depth N] [--input facts.gdl] [--given "obs"]
+//!                       [--format json]
 //! gdl sample <file.gdl> [--barany] [--runs N] [--seed S] [--steps N]
-//!                       [--threads N] [--input facts.gdl] [--format json|facts]
-//!                       [--out data.gdl]
+//!                       [--threads N] [--batch N] [--input facts.gdl]
+//!                       [--format json|facts] [--out data.gdl]
 //! gdl fit    <file.gdl> <data.gdl> [--barany] [--em-iters N] [--tol X]
 //!                       [--runs N] [--seed S] [--steps N] [--out fitted.gdl]
 //!                       [--format json]
@@ -14,27 +15,35 @@
 //!                       [--lo X --hi Y --bins N] [--q Q] [--threshold T]
 //!                       [--and "<kind>:<Rel>[:...]"]... [--given "observations"]
 //!                       [--exact | --mc | --mh] [--runs N] [--seed S] [--steps N]
-//!                       [--ess-target E [--max-runs N]] [--burn-in N] [--thin N]
-//!                       [--threads N] [--batch N] [--input facts.gdl] [--format json]
-//! gdl batch  <requests.json> [--threads N] [--format json]
+//!                       [--depth N] [--ess-target E [--max-runs N]] [--burn-in N]
+//!                       [--thin N] [--threads N] [--batch N] [--input facts.gdl]
+//!                       [--format json]
+//! gdl batch  <requests.json> [--barany] [--threads N] [--format json]
 //! gdl serve  <file.gdl> [--barany] [--addr HOST:PORT] [--workers N]
 //!                       [--max-inflight N] [--deadline-ms MS] [--max-body-bytes N]
 //! gdl loadgen <requests.json> [--addr HOST:PORT] [--connections N]
 //!                       [--duration-ms MS] [--rate R] [--out report.json]
-//! gdl tree   <file.gdl> [--depth N]      chase tree in Graphviz DOT
+//! gdl tree   <file.gdl> [--barany] [--depth N]   chase tree in Graphviz DOT
 //! ```
 //!
-//! Every evaluating command goes through the [`Session`] API: the program
-//! is compiled once, `--input` facts extend the session's extensional
-//! database, and the builder picks exact enumeration or streaming
-//! Monte-Carlo automatically (`--exact` / `--mc` force a backend).
+//! Each command accepts exactly the flags listed in [`FLAGS`]; any other
+//! flag is an error, never a silent no-op.
 //!
-//! `query` answers one query per `--and` flag **plus** the positional
-//! one, all folded from a **single** evaluation pass (chase once, answer
-//! many) — the CLI face of `Evaluation::answer`. Specs are
-//! colon-separated: `marginal:Rel`, `expectation:Rel[:agg[:col]]`,
+//! `query` is the command-line face of the serving layer
+//! (`gdatalog::serve`). Its flags are *lowered* to one wire [`Request`]
+//! and answered by the same executor, validation and renderer as
+//! `POST /v1/query`, so `--format json` prints exactly the wire reply.
+//! The positional query and every `--and` query are answered from a
+//! **single** evaluation pass (chase once, answer many). `--and` specs
+//! are colon-separated: `marginal:Rel`, `expectation:Rel[:agg[:col]]`,
 //! `histogram:Rel:col:lo:hi:bins`, `quantile:Rel:col:q`,
-//! `tail:Rel:col:threshold`.
+//! `tail:Rel:col:threshold`. The CLI checks only this syntax; relations,
+//! columns, bounds and backend combinations are checked by the serving
+//! layer and rejected with the wire's reason. Lowering keeps the CLI's
+//! defaults: seed 0, and a chase budget of `--steps` (100 000) when the
+//! request samples and `--depth` (10 000) when it enumerates exactly.
+//! `--runs` is passed on only when given; next to `--ess-target` it sets
+//! the first batch (default 512).
 //!
 //! `query --given "<observations>"` **conditions** the query: the argument
 //! takes `@observe` statements with the prefix optional — hard ground
@@ -42,7 +51,7 @@
 //! (`"Normal<M, 1.0> == 2.5 :- Mu(M)."`) — and the answer is the
 //! posterior (exact renormalization or likelihood-weighted Monte-Carlo).
 //!
-//! `batch` is the serving path (`gdatalog::serve`): the document names a
+//! `batch` is the serving path for many requests: the document names a
 //! program (by path or inline source) and a list of independent requests
 //! — the program compiles **once**, warm sessions are pooled, and
 //! requests are scheduled across `--threads` workers with answers in
@@ -80,14 +89,45 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::str::FromStr;
 
-use gdatalog::engine::{build_chase_tree, ChasePolicy, Evaluation};
+use gdatalog::engine::{build_chase_tree, ChasePolicy};
+use gdatalog::lang::CompiledProgram;
 use gdatalog::net::{self, HttpServer, LoadgenConfig, NetConfig};
 use gdatalog::prelude::*;
-// The wire-syntax renderers are shared with the serving layer so
-// `gdl query` and `gdl batch` output cannot diverge.
-use gdatalog::serve::fact_text;
 use gdatalog::serve::json::{escape as json_escape, Json};
+use gdatalog::serve::{batch_items, execute_with, parse_agg, BackendSpec};
+
+/// The flags each command honours, consulted once in [`run`]: a flag
+/// missing from a command's row is rejected instead of silently ignored.
+/// `--format facts` has a row entry of its own because only `sample`
+/// dumps facts. The positional synopsis feeds the usage text.
+#[rustfmt::skip]
+const FLAGS: &[(&str, &str, &[&str])] = &[
+    ("check", "<file.gdl>", &["--barany"]),
+    ("exact", "<file.gdl>", &["--barany", "--depth", "--input", "--given", "--format"]),
+    ("sample", "<file.gdl>", &[
+        "--barany", "--runs", "--seed", "--steps", "--threads", "--batch", "--input",
+        "--format", "--format facts", "--out",
+    ]),
+    ("query", "<file.gdl> <marginal|expectation|histogram|quantile|tail> <Relation>", &[
+        "--barany", "--agg", "--col", "--lo", "--hi", "--bins", "--q", "--threshold", "--and",
+        "--given", "--exact", "--mc", "--mh", "--runs", "--seed", "--steps", "--depth",
+        "--ess-target", "--max-runs", "--burn-in", "--thin", "--threads", "--batch", "--input",
+        "--format",
+    ]),
+    ("fit", "<file.gdl> <data.gdl>", &[
+        "--barany", "--em-iters", "--tol", "--runs", "--seed", "--steps", "--out", "--format",
+    ]),
+    ("batch", "<requests.json>", &["--barany", "--threads", "--format"]),
+    ("serve", "<file.gdl>", &[
+        "--barany", "--addr", "--workers", "--max-inflight", "--deadline-ms", "--max-body-bytes",
+    ]),
+    ("loadgen", "<requests.json>", &[
+        "--addr", "--connections", "--duration-ms", "--rate", "--out",
+    ]),
+    ("tree", "<file.gdl>", &["--barany", "--depth"]),
+];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Format {
@@ -96,14 +136,6 @@ enum Format {
     /// `sample` only: ground-fact text in `% run k` blocks — the dataset
     /// format `gdl fit` ingests.
     Facts,
-}
-
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum ForceBackend {
-    Auto,
-    Exact,
-    Mc,
-    Mh,
 }
 
 struct Args {
@@ -119,7 +151,8 @@ struct Args {
     /// `fit --tol`: relative log-likelihood convergence tolerance.
     tol: f64,
     mode: SemanticsMode,
-    runs: usize,
+    /// `--runs`, when given (`None` keeps each command's default).
+    runs: Option<usize>,
     seed: u64,
     steps: usize,
     depth: usize,
@@ -127,13 +160,13 @@ struct Args {
     /// Whether `--threads` was given explicitly (the flag then overrides a
     /// batch document's own `threads` member, including `--threads 1`).
     threads_set: bool,
-    /// Every flag seen on the command line, in order — lets subcommands
-    /// reject flags they would otherwise silently ignore.
+    /// Every flag seen on the command line, in order — checked against
+    /// the command's row of [`FLAGS`].
     seen_flags: Vec<String>,
     input: Option<String>,
     given: Option<String>,
     format: Format,
-    force: ForceBackend,
+    backend: BackendSpec,
     agg: AggFun,
     col: Option<usize>,
     lo: Option<f64>,
@@ -173,8 +206,36 @@ struct Args {
     /// `loadgen`: open-loop target rate (requests/second, all
     /// connections together); `None` = closed-loop.
     rate: Option<f64>,
-    /// `loadgen`: also write the JSON report to this path.
+    /// `sample`/`fit`/`loadgen`: also write the output to this path.
     out: Option<String>,
+}
+
+/// Parses `raw` as the value of `what`.
+fn parse<T: FromStr>(what: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse().map_err(|e| format!("{what}: {e}"))
+}
+
+/// Takes the value after `flag` and parses it.
+fn value<T: FromStr>(flag: &str, argv: &mut impl Iterator<Item = String>) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    parse(flag, &argv.next().ok_or(format!("{flag} needs a value"))?)
+}
+
+/// Takes the value after `flag`, rejecting `0` with `why`.
+fn positive(
+    flag: &str,
+    argv: &mut impl Iterator<Item = String>,
+    why: &str,
+) -> Result<usize, String> {
+    match value(flag, argv)? {
+        0 => Err(format!("{flag} 0 {why}")),
+        n => Ok(n),
+    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -190,7 +251,7 @@ fn parse_args() -> Result<Args, String> {
         em_iters: 50,
         tol: 1e-6,
         mode: SemanticsMode::Grohe,
-        runs: 10_000,
+        runs: None,
         seed: 0,
         steps: 100_000,
         depth: 10_000,
@@ -200,7 +261,7 @@ fn parse_args() -> Result<Args, String> {
         input: None,
         given: None,
         format: Format::Text,
-        force: ForceBackend::Auto,
+        backend: BackendSpec::Auto,
         agg: AggFun::Count,
         col: None,
         lo: None,
@@ -232,142 +293,111 @@ fn parse_args() -> Result<Args, String> {
         args.data = Some(argv.next().ok_or("fit needs a dataset file")?);
     }
     while let Some(flag) = argv.next() {
-        args.seen_flags.push(flag.clone());
-        let mut take = |what: &str| -> Result<String, String> {
-            argv.next().ok_or(format!("{what} needs a value"))
-        };
-        let num = |what: &str, v: Result<String, String>| -> Result<f64, String> {
-            v?.parse().map_err(|e| format!("{what}: {e}"))
-        };
+        let argv = &mut argv;
         match flag.as_str() {
             "--barany" => args.mode = SemanticsMode::Barany,
-            "--runs" => args.runs = take("--runs")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = take("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--steps" => args.steps = take("--steps")?.parse().map_err(|e| format!("{e}"))?,
-            "--depth" => args.depth = take("--depth")?.parse().map_err(|e| format!("{e}"))?,
+            "--runs" => args.runs = Some(value(&flag, argv)?),
+            "--seed" => args.seed = value(&flag, argv)?,
+            "--steps" => args.steps = value(&flag, argv)?,
+            "--depth" => args.depth = value(&flag, argv)?,
             "--threads" => {
-                args.threads = take("--threads")?.parse().map_err(|e| format!("{e}"))?;
-                if args.threads == 0 {
-                    return Err(
-                        "--threads 0 would mean no workers; pass at least 1 (or omit \
-                         the flag for the default)"
-                            .to_string(),
-                    );
-                }
+                let why = "would mean no workers; pass at least 1 (or omit the flag)";
+                args.threads = positive(&flag, argv, why)?;
                 args.threads_set = true;
             }
-            "--input" => args.input = Some(take("--input")?),
-            "--given" => args.given = Some(take("--given")?),
+            "--input" => args.input = Some(value(&flag, argv)?),
+            "--given" => args.given = Some(value(&flag, argv)?),
             "--format" => {
-                args.format = match take("--format")?.as_str() {
+                args.format = match value::<String>(&flag, argv)?.as_str() {
                     "json" => Format::Json,
                     "text" => Format::Text,
                     "facts" => Format::Facts,
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--exact" => args.force = ForceBackend::Exact,
-            "--mc" => args.force = ForceBackend::Mc,
-            "--mh" => args.force = ForceBackend::Mh,
-            "--ess-target" => args.ess_target = Some(num("--ess-target", take("--ess-target"))?),
-            "--max-runs" => {
-                args.max_runs = Some(take("--max-runs")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--exact" => args.backend = BackendSpec::Exact,
+            "--mc" => args.backend = BackendSpec::Mc,
+            "--mh" => args.backend = BackendSpec::Mh,
+            "--ess-target" => args.ess_target = Some(value(&flag, argv)?),
+            "--max-runs" => args.max_runs = Some(value(&flag, argv)?),
             "--batch" => {
-                let batch: usize = take("--batch")?.parse().map_err(|e| format!("{e}"))?;
-                if batch == 0 {
-                    return Err(
-                        "--batch 0 would schedule empty lane batches; pass at least 1 \
-                         (at 1 each run is its own lane group)"
-                            .to_string(),
-                    );
-                }
-                args.batch = Some(batch);
+                let why = "would schedule empty lane batches; pass at least 1 \
+                           (at 1 each run is its own lane group)";
+                args.batch = Some(positive(&flag, argv, why)?);
             }
-            "--burn-in" => {
-                args.burn_in = Some(take("--burn-in")?.parse().map_err(|e| format!("{e}"))?)
-            }
-            "--thin" => args.thin = Some(take("--thin")?.parse().map_err(|e| format!("{e}"))?),
-            "--em-iters" => {
-                args.em_iters = take("--em-iters")?.parse().map_err(|e| format!("{e}"))?;
-                if args.em_iters == 0 {
-                    return Err("--em-iters must be at least 1".to_string());
-                }
-            }
+            "--burn-in" => args.burn_in = Some(value(&flag, argv)?),
+            "--thin" => args.thin = Some(value(&flag, argv)?),
+            "--em-iters" => args.em_iters = positive(&flag, argv, "would fit nothing")?,
             "--tol" => {
-                let tol = num("--tol", take("--tol"))?;
+                let tol: f64 = value(&flag, argv)?;
                 if !tol.is_finite() || tol <= 0.0 {
                     return Err(format!("--tol must be a positive number, got {tol}"));
                 }
                 args.tol = tol;
             }
             "--agg" => {
-                args.agg = match take("--agg")?.as_str() {
-                    "count" => AggFun::Count,
-                    "sum" => AggFun::Sum,
-                    "avg" => AggFun::Avg,
-                    "min" => AggFun::Min,
-                    "max" => AggFun::Max,
-                    other => return Err(format!("unknown aggregate `{other}`")),
-                }
+                args.agg = parse_agg(&value::<String>(&flag, argv)?).map_err(|e| e.to_string())?
             }
-            "--col" => args.col = Some(take("--col")?.parse().map_err(|e| format!("{e}"))?),
-            "--lo" => args.lo = Some(num("--lo", take("--lo"))?),
-            "--hi" => args.hi = Some(num("--hi", take("--hi"))?),
-            "--bins" => args.bins = take("--bins")?.parse().map_err(|e| format!("{e}"))?,
-            "--q" => args.q = Some(num("--q", take("--q"))?),
-            "--threshold" => args.threshold = Some(num("--threshold", take("--threshold"))?),
-            "--and" => args.and.push(take("--and")?),
-            "--addr" => args.addr = take("--addr")?,
+            "--col" => args.col = Some(value(&flag, argv)?),
+            "--lo" => args.lo = Some(value(&flag, argv)?),
+            "--hi" => args.hi = Some(value(&flag, argv)?),
+            "--bins" => args.bins = value(&flag, argv)?,
+            "--q" => args.q = Some(value(&flag, argv)?),
+            "--threshold" => args.threshold = Some(value(&flag, argv)?),
+            "--and" => args.and.push(value(&flag, argv)?),
+            "--addr" => args.addr = value(&flag, argv)?,
             "--workers" => {
-                let workers: usize = take("--workers")?.parse().map_err(|e| format!("{e}"))?;
-                if workers == 0 {
-                    return Err(
-                        "--workers 0 would mean no serving threads; pass at least 1 \
-                         (or omit the flag for one per core)"
-                            .to_string(),
-                    );
-                }
-                args.workers = Some(workers);
+                let why = "would mean no serving threads; pass at least 1 (or omit the flag)";
+                args.workers = Some(positive(&flag, argv, why)?);
             }
-            "--max-inflight" => {
-                args.max_inflight = Some(
-                    take("--max-inflight")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--max-body-bytes" => {
-                args.max_body_bytes = Some(
-                    take("--max-body-bytes")?
-                        .parse()
-                        .map_err(|e| format!("{e}"))?,
-                )
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(take("--deadline-ms")?.parse().map_err(|e| format!("{e}"))?)
-            }
+            "--max-inflight" => args.max_inflight = Some(value(&flag, argv)?),
+            "--max-body-bytes" => args.max_body_bytes = Some(value(&flag, argv)?),
+            "--deadline-ms" => args.deadline_ms = Some(value(&flag, argv)?),
             "--connections" => {
-                args.connections = take("--connections")?.parse().map_err(|e| format!("{e}"))?;
-                if args.connections == 0 {
-                    return Err("--connections must be at least 1".to_string());
-                }
+                args.connections = positive(&flag, argv, "would send nothing")?;
             }
-            "--duration-ms" => {
-                args.duration_ms = take("--duration-ms")?.parse().map_err(|e| format!("{e}"))?
-            }
+            "--duration-ms" => args.duration_ms = value(&flag, argv)?,
             "--rate" => {
-                let rate: f64 = take("--rate")?.parse().map_err(|e| format!("{e}"))?;
+                let rate: f64 = value(&flag, argv)?;
                 if !rate.is_finite() || rate <= 0.0 {
                     return Err(format!("--rate must be a positive number, got {rate}"));
                 }
                 args.rate = Some(rate);
             }
-            "--out" => args.out = Some(take("--out")?),
+            "--out" => args.out = Some(value(&flag, argv)?),
             other => return Err(format!("unknown flag `{other}`")),
         }
+        args.seen_flags.push(flag);
     }
     Ok(args)
+}
+
+/// Rejects any flag the command's row of [`FLAGS`] does not list.
+fn check_flags(args: &Args) -> Result<(), String> {
+    let Some((_, _, accepted)) = FLAGS.iter().find(|(cmd, _, _)| *cmd == args.command) else {
+        let known: Vec<&str> = FLAGS.iter().map(|(cmd, _, _)| *cmd).collect();
+        return Err(format!(
+            "unknown command `{}` (expected {})",
+            args.command,
+            known.join(" | ")
+        ));
+    };
+    let facts = (args.format == Format::Facts).then_some("--format facts");
+    let seen = args.seen_flags.iter().map(String::as_str).chain(facts);
+    for flag in seen {
+        if !accepted.contains(&flag) {
+            return Err(format!(
+                "{flag} does not apply to `{}`; it takes {}",
+                args.command,
+                accepted.join(" ")
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 fn world_text(world: &Instance, catalog: &Catalog) -> String {
@@ -381,128 +411,20 @@ fn world_text(world: &Instance, catalog: &Catalog) -> String {
 
 /// Builds the session and applies `--input` facts.
 fn make_session(args: &Args) -> Result<Session, String> {
-    let src = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
-    let mut session = Session::from_source(&src, args.mode).map_err(|e| e.to_string())?;
+    let mut session =
+        Session::from_source(&read(&args.file)?, args.mode).map_err(|e| e.to_string())?;
     if let Some(path) = &args.input {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         session
-            .insert_facts_text(&text)
+            .insert_facts_text(&read(path)?)
             .map_err(|e| e.to_string())?;
     }
     Ok(session)
 }
 
-/// Configures an evaluation from the CLI flags: the backend is resolved
-/// first (auto picks Monte-Carlo for continuous programs), then the budget
-/// flag that matches it applies — `--steps` for sampling backends,
-/// `--depth` for exact enumeration. `--ess-target` switches the
-/// Monte-Carlo path to adaptive run control; `--mh` selects the
-/// Metropolis-Hastings chain (with `--burn-in` / `--thin`).
-fn configure<'a>(session: &'a Session, args: &Args) -> Result<Evaluation<'a>, String> {
-    let sampling = match args.force {
-        ForceBackend::Mc | ForceBackend::Mh => true,
-        ForceBackend::Exact => false,
-        ForceBackend::Auto => !session.program().all_discrete(),
-    };
-    let mut eval = session
-        .eval()
-        .seed(args.seed)
-        .threads(args.threads)
-        .max_depth(if sampling { args.steps } else { args.depth });
-    if let Some(batch) = args.batch {
-        eval = eval.batch(batch);
-    }
-    if let Some(given) = &args.given {
-        eval = eval.given(given.clone());
-    }
-    if args.force == ForceBackend::Mh {
-        if args.ess_target.is_some() {
-            return Err(
-                "--ess-target applies to the Monte-Carlo backend; it cannot be \
-                 combined with --mh (the MH stream is already normalized)"
-                    .to_string(),
-            );
-        }
-        let mut eval = eval.mh(args.runs);
-        if let Some(steps) = args.burn_in {
-            eval = eval.burn_in(steps);
-        }
-        if let Some(every) = args.thin {
-            eval = eval.thin(every);
-        }
-        return Ok(eval);
-    }
-    if args.burn_in.is_some() || args.thin.is_some() {
-        return Err("--burn-in/--thin configure the MH chain; pass --mh".to_string());
-    }
-    if let Some(target) = args.ess_target {
-        if args.force == ForceBackend::Exact {
-            return Err("--ess-target applies to Monte-Carlo sampling, not --exact".to_string());
-        }
-        let mut target = EssTarget::new(target);
-        if let Some(cap) = args.max_runs {
-            target = target.max_runs(cap);
-        }
-        return Ok(eval.sample_until(target));
-    }
-    if let Some(cap) = args.max_runs {
-        return Err(format!(
-            "--max-runs {cap} caps --ess-target's adaptive run growth; pass --ess-target"
-        ));
-    }
-    Ok(if sampling {
-        eval.sample(args.runs)
-    } else if args.force == ForceBackend::Exact {
-        eval.exact()
-    } else {
-        eval
-    })
-}
-
 /// Runs `gdl batch <requests.json>`: compile once, pool sessions, answer
 /// the batch in request order.
 fn run_batch(args: &Args) -> Result<(), String> {
-    // Evaluation configuration is per-request in the document; accepting
-    // these flags here and then ignoring them would silently change what
-    // the user asked for.
-    const NOT_FOR_BATCH: &[&str] = &[
-        "--runs",
-        "--seed",
-        "--steps",
-        "--depth",
-        "--input",
-        "--given",
-        "--exact",
-        "--mc",
-        "--mh",
-        "--ess-target",
-        "--max-runs",
-        "--batch",
-        "--burn-in",
-        "--thin",
-        "--agg",
-        "--col",
-        "--lo",
-        "--hi",
-        "--bins",
-        "--q",
-        "--threshold",
-        "--and",
-    ];
-    if let Some(flag) = args
-        .seen_flags
-        .iter()
-        .find(|f| NOT_FOR_BATCH.contains(&f.as_str()))
-    {
-        return Err(format!(
-            "{flag} does not apply to `batch`; set the per-request members \
-             (backend/runs/seed/max_depth/evidence) in the document instead"
-        ));
-    }
-    let doc_text = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
-    let doc = Json::parse(&doc_text).map_err(|e| format!("{}: {e}", args.file))?;
+    let doc = Json::parse(&read(&args.file)?).map_err(|e| format!("{}: {e}", args.file))?;
     // The --barany flag wins; otherwise the document's "mode" member
     // (which must be a string when present — no silent default).
     let mode = if args.mode == SemanticsMode::Barany {
@@ -535,17 +457,14 @@ fn run_batch(args: &Args) -> Result<(), String> {
                     .map(|dir| dir.join(path))
                     .unwrap_or_else(|| direct.to_path_buf())
             };
-            std::fs::read_to_string(&resolved)
-                .map_err(|e| format!("cannot read {}: {e}", resolved.display()))?
+            read(&resolved.to_string_lossy())?
         }
         (None, None) => {
             return Err("batch document needs a `program` path or inline `source`".to_string())
         }
     };
-    let requests: Vec<Request> = doc
-        .get("requests")
-        .and_then(Json::as_array)
-        .ok_or("batch document needs a `requests` array")?
+    let requests: Vec<Request> = batch_items(&doc)
+        .map_err(|e| e.to_string())?
         .iter()
         .map(|v| Request::from_json(v).map_err(|e| e.to_string()))
         .collect::<Result<_, String>>()?;
@@ -587,7 +506,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
         })
         .collect();
     match args.format {
-        Format::Facts => unreachable!("rejected before dispatch"),
+        Format::Facts => unreachable!("rejected by the flag table"),
         Format::Json => {
             let _ = writeln!(
                 out,
@@ -614,8 +533,7 @@ fn run_batch(args: &Args) -> Result<(), String> {
 /// Runs `gdl serve <model.gdl>`: compile once, then serve it over HTTP
 /// until a client posts `/v1/shutdown`.
 fn run_serve(args: &Args) -> Result<(), String> {
-    let src = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
+    let src = read(&args.file)?;
     let mut config = NetConfig::default();
     if let Some(workers) = args.workers {
         config.workers = workers;
@@ -642,9 +560,7 @@ fn run_serve(args: &Args) -> Result<(), String> {
 /// Runs `gdl loadgen <requests.json>` against a live server and prints
 /// (and optionally writes) the JSON report.
 fn run_loadgen(args: &Args) -> Result<(), String> {
-    let doc = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
-    let bodies = net::bodies_from_json(&doc).map_err(|e| e.to_string())?;
+    let bodies = net::bodies_from_json(&read(&args.file)?).map_err(|e| e.to_string())?;
     let report = net::run_loadgen(
         &bodies,
         &LoadgenConfig {
@@ -674,43 +590,14 @@ fn run_loadgen(args: &Args) -> Result<(), String> {
 /// program from the dataset and print (or write) the fitted program plus
 /// its [`gdatalog::learn::FitReport`].
 fn run_fit(args: &Args) -> Result<(), String> {
-    // Evaluation-shape flags that have no meaning during fitting are
-    // rejected, not silently dropped.
-    const NOT_FOR_FIT: &[&str] = &[
-        "--given",
-        "--input",
-        "--exact",
-        "--mc",
-        "--mh",
-        "--ess-target",
-        "--max-runs",
-        "--batch",
-        "--burn-in",
-        "--thin",
-        "--depth",
-        "--threads",
-    ];
-    if let Some(flag) = args
-        .seen_flags
-        .iter()
-        .find(|f| NOT_FOR_FIT.contains(&f.as_str()))
-    {
-        return Err(format!(
-            "{flag} does not apply to `fit`; the E-step is configured by \
-             --runs/--seed/--steps and the EM loop by --em-iters/--tol"
-        ));
-    }
-    let src = std::fs::read_to_string(&args.file)
-        .map_err(|e| format!("cannot read {}: {e}", args.file))?;
-    let data_path = args.data.as_deref().expect("parsed");
-    let data =
-        std::fs::read_to_string(data_path).map_err(|e| format!("cannot read {data_path}: {e}"))?;
+    let src = read(&args.file)?;
+    let data = read(args.data.as_deref().expect("parsed"))?;
     let opts = gdatalog::learn::FitOptions {
         mode: args.mode,
         em_iters: args.em_iters,
         tol: args.tol,
         seed: args.seed,
-        runs: args.runs,
+        runs: args.runs.unwrap_or(10_000),
         max_depth: Some(args.steps),
     };
     let fitted = gdatalog::learn::fit_program(&src, &data, &opts).map_err(|e| e.to_string())?;
@@ -722,7 +609,7 @@ fn run_fit(args: &Args) -> Result<(), String> {
         Format::Json => {
             let _ = writeln!(out, "{}", report.to_json());
         }
-        Format::Facts => unreachable!("rejected before dispatch"),
+        Format::Facts => unreachable!("rejected by the flag table"),
         Format::Text => {
             for e in &report.estimates {
                 let gof = match e.goodness_of_fit {
@@ -771,61 +658,19 @@ fn run_fit(args: &Args) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
-    // `fit`-only flags elsewhere, and formats/outputs a command does not
-    // produce, are errors, not silent drops (the `batch` rule).
-    if args.command != "fit" {
-        if let Some(flag) = args
-            .seen_flags
-            .iter()
-            .find(|f| matches!(f.as_str(), "--em-iters" | "--tol"))
-        {
-            return Err(format!(
-                "{flag} configures parameter estimation; it only applies to `fit`"
-            ));
-        }
-    }
-    if args.format == Format::Facts && !matches!(args.command.as_str(), "sample") {
-        return Err(format!(
-            "--format facts dumps sampled worlds as dataset text; it only applies to \
-             `sample` (got `{}`)",
-            args.command
-        ));
-    }
-    if args.out.is_some() && !matches!(args.command.as_str(), "loadgen" | "sample" | "fit") {
-        return Err(format!(
-            "--out does not apply to `{}`; it writes `sample` dumps, `fit` results, \
-             and `loadgen` reports",
-            args.command
-        ));
-    }
-    if args.command == "batch" {
-        return run_batch(&args);
-    }
-    if args.command == "serve" {
-        return run_serve(&args);
-    }
-    if args.command == "loadgen" {
-        return run_loadgen(&args);
-    }
-    if args.command == "fit" {
-        return run_fit(&args);
+    check_flags(&args)?;
+    match args.command.as_str() {
+        "batch" => return run_batch(&args),
+        "serve" => return run_serve(&args),
+        "loadgen" => return run_loadgen(&args),
+        "fit" => return run_fit(&args),
+        "query" => return run_query(&args),
+        _ => {}
     }
     let session = make_session(&args)?;
     let program = session.program();
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
-
-    // `--given` conditions `query` and `exact`; accepting it elsewhere and
-    // then ignoring it would silently answer the prior as if it were the
-    // posterior (the same silent-flag-drop `batch` guards against).
-    if args.given.is_some() && !matches!(args.command.as_str(), "query" | "exact") {
-        return Err(format!(
-            "--given does not apply to `{}`; use `query … --given` (posterior \
-             statistics) or `exact --given` (renormalized posterior world table)",
-            args.command
-        ));
-    }
-
     match args.command.as_str() {
         "check" => {
             let n_exist = program.rules.iter().filter(|r| r.is_existential()).count();
@@ -859,7 +704,7 @@ fn run() -> Result<(), String> {
             }
             let worlds = eval.worlds().map_err(|e| e.to_string())?;
             match args.format {
-                Format::Facts => unreachable!("rejected before dispatch"),
+                Format::Facts => unreachable!("rejected by the flag table"),
                 Format::Text => {
                     for (text, p) in worlds.table(&program.catalog) {
                         let _ = writeln!(out, "{p:.6}  {text}");
@@ -896,9 +741,9 @@ fn run() -> Result<(), String> {
         "sample" => {
             let mut eval = session
                 .eval()
-                .sample(args.runs)
+                .sample(args.runs.unwrap_or(10_000))
                 .seed(args.seed)
-                .threads(args.threads.max(1))
+                .threads(args.threads)
                 .max_depth(args.steps);
             if let Some(batch) = args.batch {
                 eval = eval.batch(batch);
@@ -968,7 +813,6 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        "query" => run_query(&args, &session, &mut out),
         "tree" => {
             let mut policy = ChasePolicy::new(PolicyKind::Canonical, &[]);
             let tree = build_chase_tree(
@@ -984,276 +828,165 @@ fn run() -> Result<(), String> {
             let _ = write!(out, "{}", tree.to_dot(&program.catalog));
             Ok(())
         }
-        other => Err(format!(
-            "unknown command `{other}` (expected check | exact | sample | query | fit | \
-             batch | serve | loadgen | tree)"
-        )),
+        _ => unreachable!("the flag table admits only known commands"),
     }
 }
 
-/// Builds the primary query of `gdl query <kind> <Relation>` from the
-/// positionals and their flags.
-fn primary_query(args: &Args, session: &Session) -> Result<QueryIr, String> {
-    let program = session.program();
-    let rel_name = args.query_rel.as_deref().expect("parsed");
-    let rel = program
-        .catalog
-        .require(rel_name)
-        .map_err(|e| format!("{e}"))?;
-    let arity = program.catalog.decl(rel).arity();
-    let default_last_col = |col: Option<usize>| -> Result<usize, String> {
-        let col = col.unwrap_or(arity.saturating_sub(1));
-        if col >= arity {
-            return Err(format!(
-                "--col {col} out of range for {rel_name} (arity {arity})"
-            ));
-        }
-        Ok(col)
-    };
-    match args.query_kind.as_deref().expect("parsed") {
+/// Lowers `gdl query`'s flags to one wire [`Request`]: the positional
+/// query first, then every `--and` query. Only syntax is checked here;
+/// everything else is the serving layer's to check.
+fn lower_query(args: &Args, program: &CompiledProgram) -> Result<Request, String> {
+    let rel = args.query_rel.clone().expect("parsed");
+    // Column statistics default to the relation's last column; an unknown
+    // relation is left for the serving layer to report.
+    let col = args.col.unwrap_or_else(|| {
+        let arity = program
+            .catalog
+            .resolve(&rel)
+            .map(|r| program.catalog.decl(r).arity());
+        arity.unwrap_or(0).saturating_sub(1)
+    });
+    let primary = match args.query_kind.as_deref().expect("parsed") {
         // The CLI's `marginal` has always meant all-fact marginals of a
-        // relation; `marginals` (the wire-format name, and the label the
-        // JSON output carries) is accepted as an alias.
-        "marginal" | "marginals" => Ok(QueryIr::Marginals { rel }),
-        "expectation" => {
-            let query = Query::Rel(rel);
-            let query = match args.col {
-                // Aggregate a specific column by projecting it to the end.
-                Some(col) if col < arity => query.project(vec![col]),
-                Some(col) => {
-                    return Err(format!(
-                        "--col {col} out of range for {rel_name} (arity {arity})"
-                    ))
-                }
-                None => query,
-            };
-            Ok(QueryIr::Expectation {
-                query,
-                agg: args.agg,
-            })
-        }
+        // relation; `marginals` (the wire-format name) is an alias.
+        "marginal" | "marginals" => QueryKind::Marginals { rel },
+        "expectation" => QueryKind::Expectation {
+            rel,
+            agg: args.agg,
+            col: args.col,
+        },
         "histogram" => {
-            let col = default_last_col(args.col)?;
-            let (lo, hi) = match (args.lo, args.hi) {
-                (Some(lo), Some(hi)) => (lo, hi),
-                _ => return Err("histogram needs --lo and --hi".to_string()),
+            let (Some(lo), Some(hi)) = (args.lo, args.hi) else {
+                return Err("histogram needs --lo and --hi".to_string());
             };
-            if !lo.is_finite() || !hi.is_finite() || lo >= hi || args.bins == 0 {
-                return Err(format!(
-                    "invalid histogram spec: need finite --lo < --hi and --bins > 0 \
-                     (got lo {lo}, hi {hi}, bins {})",
-                    args.bins
-                ));
-            }
-            Ok(QueryIr::Histogram {
+            QueryKind::Histogram {
                 rel,
                 col,
                 lo,
                 hi,
                 bins: args.bins,
-            })
+            }
         }
         "quantile" => {
-            let col = default_last_col(args.col)?;
             let q = args.q.ok_or("quantile needs --q (in [0, 1])")?;
-            if !(0.0..=1.0).contains(&q) {
-                return Err(format!("--q must be in [0, 1], got {q}"));
-            }
-            Ok(QueryIr::Quantile { rel, col, q })
+            QueryKind::Quantile { rel, col, q }
         }
         "tail" => {
-            let col = default_last_col(args.col)?;
             let threshold = args.threshold.ok_or("tail needs --threshold")?;
-            if threshold.is_nan() {
-                return Err("--threshold must not be NaN".to_string());
-            }
-            Ok(QueryIr::Tail {
+            QueryKind::Tail {
                 rel,
                 col,
                 threshold,
-            })
+            }
         }
-        other => Err(format!(
-            "unknown query kind `{other}` (expected marginal | expectation | histogram | \
-             quantile | tail)"
-        )),
+        other => {
+            return Err(format!(
+                "unknown query kind `{other}` (expected marginal | expectation | histogram | \
+                 quantile | tail)"
+            ))
+        }
+    };
+    let mut queries = vec![primary];
+    for spec in &args.and {
+        queries.push(parse_and_spec(spec)?);
     }
+    let mut request = Request {
+        queries,
+        input: args.input.as_deref().map(read).transpose()?,
+        given: args.given.clone(),
+        backend: args.backend,
+        runs: args.runs,
+        seed: Some(args.seed),
+        max_depth: None,
+        burn_in: args.burn_in,
+        thin: args.thin,
+        ess_target: args.ess_target,
+        max_runs: args.max_runs,
+        deadline: None,
+    };
+    let budget = if request.samples(program) {
+        args.steps
+    } else {
+        args.depth
+    };
+    request.max_depth = Some(budget);
+    Ok(request)
 }
 
-/// Parses one `--and` spec into a query. The mini-grammar is
+/// Splits one `--and` spec into a textual query. The mini-grammar is
 /// colon-separated: `marginal:Rel`, `expectation:Rel[:agg[:col]]`,
 /// `histogram:Rel:col:lo:hi:bins`, `quantile:Rel:col:q`,
 /// `tail:Rel:col:threshold`.
-fn parse_and_spec(spec: &str, session: &Session) -> Result<QueryIr, String> {
-    let program = session.program();
+fn parse_and_spec(spec: &str) -> Result<QueryKind, String> {
+    let bad = |msg: String| format!("--and `{spec}`: {msg}");
     let parts: Vec<&str> = spec.split(':').collect();
-    let bad = |msg: &str| format!("--and `{spec}`: {msg}");
-    let resolve = |name: &str| {
-        program
-            .catalog
-            .require(name)
-            .map_err(|e| bad(&format!("{e}")))
-    };
-    let check_col = |rel: RelId, col: usize| -> Result<usize, String> {
-        let arity = program.catalog.decl(rel).arity();
-        if col >= arity {
-            return Err(bad(&format!("column {col} out of range (arity {arity})")));
+    let rel = parts.get(1).map(|r| r.to_string()).unwrap_or_default();
+    Ok(match parts.as_slice() {
+        ["marginal" | "marginals", _] => QueryKind::Marginals { rel },
+        ["expectation", _, rest @ ..] if rest.len() <= 2 => QueryKind::Expectation {
+            rel,
+            agg: match rest.first() {
+                Some(agg) => parse_agg(agg).map_err(|e| bad(e.to_string()))?,
+                None => AggFun::Count,
+            },
+            col: rest
+                .get(1)
+                .map(|c| parse("col", c))
+                .transpose()
+                .map_err(bad)?,
+        },
+        ["histogram", _, col, lo, hi, bins] => QueryKind::Histogram {
+            rel,
+            col: parse("col", col).map_err(bad)?,
+            lo: parse("lo", lo).map_err(bad)?,
+            hi: parse("hi", hi).map_err(bad)?,
+            bins: parse("bins", bins).map_err(bad)?,
+        },
+        ["quantile", _, col, q] => QueryKind::Quantile {
+            rel,
+            col: parse("col", col).map_err(bad)?,
+            q: parse("q", q).map_err(bad)?,
+        },
+        ["tail", _, col, threshold] => QueryKind::Tail {
+            rel,
+            col: parse("col", col).map_err(bad)?,
+            threshold: parse("threshold", threshold).map_err(bad)?,
+        },
+        _ => {
+            return Err(bad(
+                "expected marginal:Rel | expectation:Rel[:agg[:col]] | \
+                 histogram:Rel:col:lo:hi:bins | quantile:Rel:col:q | tail:Rel:col:threshold"
+                    .to_string(),
+            ))
         }
-        Ok(col)
-    };
-    let num = |what: &str, v: &str| -> Result<f64, String> {
-        v.parse().map_err(|e| bad(&format!("{what}: {e}")))
-    };
-    let int = |what: &str, v: &str| -> Result<usize, String> {
-        v.parse().map_err(|e| bad(&format!("{what}: {e}")))
-    };
-    match parts.as_slice() {
-        ["marginal" | "marginals", rel] => Ok(QueryIr::Marginals { rel: resolve(rel)? }),
-        ["expectation", rel] => Ok(QueryIr::Expectation {
-            query: Query::Rel(resolve(rel)?),
-            agg: AggFun::Count,
-        }),
-        ["expectation", rel, agg] | ["expectation", rel, agg, _] => {
-            let rel = resolve(rel)?;
-            let agg = match *agg {
-                "count" => AggFun::Count,
-                "sum" => AggFun::Sum,
-                "avg" => AggFun::Avg,
-                "min" => AggFun::Min,
-                "max" => AggFun::Max,
-                other => return Err(bad(&format!("unknown aggregate `{other}`"))),
-            };
-            let query = Query::Rel(rel);
-            let query = match parts.get(3) {
-                Some(col) => query.project(vec![check_col(rel, int("col", col)?)?]),
-                None => query,
-            };
-            Ok(QueryIr::Expectation { query, agg })
-        }
-        ["histogram", rel, col, lo, hi, bins] => {
-            let rel = resolve(rel)?;
-            let (lo, hi) = (num("lo", lo)?, num("hi", hi)?);
-            let bins = int("bins", bins)?;
-            if !lo.is_finite() || !hi.is_finite() || lo >= hi || bins == 0 {
-                return Err(bad("need finite lo < hi and bins > 0"));
-            }
-            Ok(QueryIr::Histogram {
-                rel,
-                col: check_col(rel, int("col", col)?)?,
-                lo,
-                hi,
-                bins,
-            })
-        }
-        ["quantile", rel, col, q] => {
-            let rel = resolve(rel)?;
-            let q = num("q", q)?;
-            if !(0.0..=1.0).contains(&q) {
-                return Err(bad(&format!("q must be in [0, 1], got {q}")));
-            }
-            Ok(QueryIr::Quantile {
-                rel,
-                col: check_col(rel, int("col", col)?)?,
-                q,
-            })
-        }
-        ["tail", rel, col, threshold] => {
-            let rel = resolve(rel)?;
-            let threshold = num("threshold", threshold)?;
-            if threshold.is_nan() {
-                return Err(bad("threshold must not be NaN"));
-            }
-            Ok(QueryIr::Tail {
-                rel,
-                col: check_col(rel, int("col", col)?)?,
-                threshold,
-            })
-        }
-        _ => Err(bad(
-            "expected marginal:Rel | expectation:Rel[:agg[:col]] | \
-             histogram:Rel:col:lo:hi:bins | quantile:Rel:col:q | tail:Rel:col:threshold",
-        )),
-    }
+    })
 }
 
-/// Renders one answer as the flat JSON object `gdl query` emits (shared
-/// shapes with the serving layer's wire format where they overlap).
-fn answer_json(answer: &Answer, catalog: &Catalog) -> Json {
-    match answer {
-        Answer::Marginal(p) => Json::Obj(vec![("p".into(), Json::Num(*p))]),
-        Answer::Probability(p) => Json::Obj(vec![("p".into(), Json::Num(*p))]),
-        Answer::Marginals(rows) => Json::Obj(vec![(
-            "marginals".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|(fact, p)| {
-                        Json::Obj(vec![
-                            ("fact".into(), Json::Str(fact_text(fact, catalog))),
-                            ("p".into(), Json::Num(*p)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )]),
-        Answer::Expectation(None) => Json::Obj(vec![("empty".into(), Json::Bool(true))]),
-        Answer::Expectation(Some(m)) => Json::Obj(vec![
-            ("mean".into(), Json::Num(m.mean)),
-            ("variance".into(), Json::Num(m.variance)),
-            ("mass".into(), Json::Num(m.mass)),
-        ]),
-        Answer::Histogram(hist) => Json::Obj(vec![
-            ("lo".into(), Json::Num(hist.lo)),
-            ("hi".into(), Json::Num(hist.hi)),
-            ("underflow".into(), Json::Num(hist.underflow)),
-            ("overflow".into(), Json::Num(hist.overflow)),
-            ("mass".into(), Json::Num(hist.mass)),
-            (
-                "bins".into(),
-                Json::Arr(
-                    hist.bins
-                        .iter()
-                        .enumerate()
-                        .map(|(i, c)| {
-                            Json::Obj(vec![
-                                ("center".into(), Json::Num(hist.bin_center(i))),
-                                ("count".into(), Json::Num(*c)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        Answer::Quantile(None) => Json::Obj(vec![("empty".into(), Json::Bool(true))]),
-        Answer::Quantile(Some(v)) => Json::Obj(vec![("value".into(), Json::Num(*v))]),
-        Answer::Tail(p) => Json::Obj(vec![("p".into(), Json::Num(*p))]),
-    }
-}
-
-/// Renders one answer as the text lines `gdl query` prints. Total: an
+/// Renders one response as the text lines `gdl query` prints. Total: an
 /// empty expectation/quantile prints an explicit `empty` line (matching
 /// the `{"empty": true}` JSON shape) instead of erroring mid-stream and
 /// discarding the remaining answers of a multi-query invocation.
-fn write_answer_text(out: &mut impl std::io::Write, answer: &Answer, catalog: &Catalog) {
-    match answer {
-        Answer::Marginal(p) | Answer::Probability(p) | Answer::Tail(p) => {
+fn write_answer_text(out: &mut impl std::io::Write, response: &Response) {
+    match response {
+        Response::Marginal(p) | Response::Probability(p) | Response::Tail(p) => {
             let _ = writeln!(out, "{p:.6}");
         }
-        Answer::Marginals(rows) => {
+        Response::Marginals(rows) => {
             for (fact, p) in rows {
-                let _ = writeln!(out, "{p:.6}  {}", fact_text(fact, catalog));
+                let _ = writeln!(out, "{p:.6}  {fact}");
             }
         }
-        Answer::Expectation(None) => {
+        Response::Expectation(None) => {
             let _ = writeln!(out, "empty (no world mass observed)");
         }
-        Answer::Expectation(Some(m)) => {
+        Response::Expectation(Some(m)) => {
             let _ = writeln!(
                 out,
                 "mean {:.6}  variance {:.6}  mass {:.6}",
                 m.mean, m.variance, m.mass
             );
         }
-        Answer::Histogram(hist) => {
+        Response::Histogram(hist) => {
             for (i, count) in hist.bins.iter().enumerate() {
                 let _ = writeln!(out, "{:>12.4}  {count:.6}", hist.bin_center(i));
             }
@@ -1263,38 +996,47 @@ fn write_answer_text(out: &mut impl std::io::Write, answer: &Answer, catalog: &C
                 hist.underflow, hist.overflow, hist.mass
             );
         }
-        Answer::Quantile(None) => {
+        Response::Quantile(None) => {
             let _ = writeln!(out, "empty (no value mass observed)");
         }
-        Answer::Quantile(Some(v)) => {
+        Response::Quantile(Some(v)) => {
             let _ = writeln!(out, "{v:.6}");
         }
     }
 }
 
-/// Runs `gdl query`: the positional query plus every `--and` query,
-/// answered together in **one** backend pass over the session.
-fn run_query(args: &Args, session: &Session, out: &mut impl std::io::Write) -> Result<(), String> {
-    let program = session.program();
-    let mut queries = QuerySet::new();
-    queries.push(primary_query(args, session)?);
-    for spec in &args.and {
-        queries.push(parse_and_spec(spec, session)?);
-    }
-    let eval = configure(session, args)?;
-    let answers = eval.answer(&queries).map_err(|e| e.to_string())?;
-    let evidence = answers.conditioned().then(|| answers.evidence());
+/// Runs `gdl query`: lowers the flags to one [`Request`] and answers it
+/// through the serving layer's executor — one backend pass for the
+/// positional query and every `--and` query. `--threads` and `--batch`
+/// tune the evaluation; neither changes an answer.
+fn run_query(args: &Args) -> Result<(), String> {
+    let mut session =
+        Session::from_source(&read(&args.file)?, args.mode).map_err(|e| e.to_string())?;
+    let request = lower_query(args, session.program())?;
+    let reply = execute_with(&mut session, &request, |eval| {
+        let eval = eval.threads(args.threads);
+        match args.batch {
+            Some(batch) => eval.batch(batch),
+            None => eval,
+        }
+    })
+    .map_err(|e| e.to_string())?;
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
     match args.format {
-        Format::Facts => unreachable!("rejected before dispatch"),
+        Format::Facts => unreachable!("rejected by the flag table"),
+        Format::Json => {
+            let _ = writeln!(out, "{}", reply.to_json().render());
+        }
         Format::Text => {
-            let multi = answers.len() > 1;
-            for (i, (query, answer)) in queries.queries().iter().zip(answers.iter()).enumerate() {
+            let multi = reply.responses.len() > 1;
+            for (i, response) in reply.responses.iter().enumerate() {
                 if multi {
-                    let _ = writeln!(out, "[{i}] {}", query.kind());
+                    let _ = writeln!(out, "[{i}] {}", response.kind());
                 }
-                write_answer_text(out, answer, &program.catalog);
+                write_answer_text(&mut out, response);
             }
-            if let Some(ev) = evidence {
+            if let Some(ev) = reply.evidence {
                 // log-mass is the authoritative figure: the linear mass
                 // reads 0.000000 once the log drops below ≈ −745.
                 let _ = writeln!(
@@ -1307,49 +1049,6 @@ fn run_query(args: &Args, session: &Session, out: &mut impl std::io::Write) -> R
                 }
             }
         }
-        Format::Json => {
-            let evidence_json = evidence.map(|ev| {
-                let mut members = vec![
-                    ("mass".into(), Json::Num(ev.mass)),
-                    ("log_mass".into(), Json::Num(ev.log_mass)),
-                    ("ess".into(), Json::Num(ev.ess)),
-                    ("worlds".into(), Json::Num(ev.worlds as f64)),
-                    ("runs".into(), Json::Num(ev.runs as f64)),
-                ];
-                if let Some(rate) = ev.accept_rate {
-                    members.push(("accept_rate".into(), Json::Num(rate)));
-                }
-                Json::Obj(members)
-            });
-            let doc = if answers.len() == 1 {
-                let Json::Obj(mut members) = answer_json(&answers[0], &program.catalog) else {
-                    unreachable!("answers render as objects")
-                };
-                if let Some(ev) = evidence_json {
-                    members.push(("evidence".into(), ev));
-                }
-                Json::Obj(members)
-            } else {
-                let rendered: Vec<Json> = queries
-                    .queries()
-                    .iter()
-                    .zip(answers.iter())
-                    .map(|(query, answer)| {
-                        let Json::Obj(mut members) = answer_json(answer, &program.catalog) else {
-                            unreachable!("answers render as objects")
-                        };
-                        members.insert(0, ("kind".into(), Json::Str(query.kind().into())));
-                        Json::Obj(members)
-                    })
-                    .collect();
-                let mut members = vec![("answers".into(), Json::Arr(rendered))];
-                if let Some(ev) = evidence_json {
-                    members.push(("evidence".into(), ev));
-                }
-                Json::Obj(members)
-            };
-            let _ = writeln!(out, "{}", doc.render());
-        }
     }
     Ok(())
 }
@@ -1359,26 +1058,10 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("gdl: {e}");
-            eprintln!(
-                "usage: gdl <check|exact|sample|query|fit|batch|tree> <file.gdl> [args]\n\
-                 \x20 fit:   gdl fit <file.gdl> <data.gdl> [--em-iters N] [--tol X] [--runs N]\n\
-                 \x20        [--seed S] [--out fitted.gdl] [--format json]\n\
-                 \x20        (dataset = `gdl sample <file.gdl> --format facts [--out data.gdl]`)\n\
-                 \x20 query: gdl query <file.gdl> <marginal|expectation|histogram|quantile|tail>\n\
-                 \x20        <Relation> [--agg count|sum|avg|min|max] [--col K]\n\
-                 \x20        [--lo X --hi Y --bins N] [--q Q] [--threshold T]\n\
-                 \x20        [--and \"expectation:Rel:count\"] (repeatable; one pass, many answers)\n\
-                 \x20        [--given \"Alarm(h1). Normal<M, 1.0> == 2.5 :- Mu(M).\"]\n\
-                 \x20        [--ess-target E [--max-runs N]] [--mh [--burn-in N] [--thin N]]\n\
-                 \x20 batch: gdl batch <requests.json> [--threads N] [--format json]\n\
-                 \x20 serve: gdl serve <file.gdl> [--addr HOST:PORT] [--workers N]\n\
-                 \x20        [--max-inflight N] [--deadline-ms MS] [--max-body-bytes N]\n\
-                 \x20 loadgen: gdl loadgen <requests.json> [--addr HOST:PORT]\n\
-                 \x20        [--connections N] [--duration-ms MS] [--rate R] [--out report.json]\n\
-                 \x20 flags: [--barany] [--runs N] [--seed S] [--steps N] [--depth N]\n\
-                 \x20        [--threads N] [--batch N] [--input facts.gdl] [--format json]\n\
-                 \x20        [--exact|--mc|--mh]"
-            );
+            eprintln!("usage (flag values: see the module docs or docs/API.md):");
+            for (command, positionals, flags) in FLAGS {
+                eprintln!("  gdl {command} {positionals} [{}]", flags.join("] ["));
+            }
             ExitCode::from(2)
         }
     }
