@@ -5,7 +5,7 @@
 //!
 //! `cargo run --release -p gdatalog-bench --bin experiments bench`
 //! additionally runs the perf-trajectory suite and writes
-//! `BENCH_PR1.json` (per-bench median nanoseconds plus incremental-vs-
+//! `target/bench/BENCH_PR1.json` (per-bench median nanoseconds plus incremental-vs-
 //! rebuild speedups) so later PRs can track the performance curve
 //! machine-readably.
 //!
@@ -598,7 +598,10 @@ fn bench_pr1() {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    header("BENCH", "perf trajectory (written to BENCH_PR1.json)");
+    header(
+        "BENCH",
+        "perf trajectory (written to target/bench/BENCH_PR1.json)",
+    );
 
     // Transitive closure over a chain: T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).
     let tc = DatalogProgram::new(vec![
@@ -782,7 +785,7 @@ fn bench_pr2() {
 
     header(
         "BENCH2",
-        "streaming Monte-Carlo (written to BENCH_PR2.json)",
+        "streaming Monte-Carlo (written to target/bench/BENCH_PR2.json)",
     );
 
     let session = Session::from_source("R(Flip<0.5>) :- true. S(X) :- R(X).", SemanticsMode::Grohe)
@@ -895,7 +898,10 @@ fn bench_pr3() {
     use gdatalog_core::Session;
     use gdatalog_serve::{execute_on, ProgramCache, Reply, Request, Server};
 
-    header("BENCH3", "serving layer (written to BENCH_PR3.json)");
+    header(
+        "BENCH3",
+        "serving layer (written to target/bench/BENCH_PR3.json)",
+    );
 
     let model_src = serving_library_program(16);
     const BATCH: usize = 100;
@@ -1055,7 +1061,7 @@ fn bench_pr5() {
 
     header(
         "BENCH5",
-        "multi-query single pass (written to BENCH_PR5.json)",
+        "multi-query single pass (written to target/bench/BENCH_PR5.json)",
     );
 
     const K: usize = 8;
@@ -1186,7 +1192,7 @@ fn bench_pr7() {
 
     header(
         "BENCH7",
-        "HTTP serving subsystem (written to BENCH_PR7.json)",
+        "HTTP serving subsystem (written to target/bench/BENCH_PR7.json)",
     );
 
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1362,7 +1368,7 @@ fn bench_pr8() {
 
     header(
         "BENCH8",
-        "posterior inference backends (written to BENCH_PR8.json)",
+        "posterior inference backends (written to target/bench/BENCH_PR8.json)",
     );
 
     // P(Quake) = 0.02; the detector fires at 0.7 given a quake and
@@ -1526,14 +1532,14 @@ fn bench_pr8() {
 /// agree bit for bit under the same seed, single- and multi-threaded, and
 /// a conditioned pass must agree too. The acceptance gate is ≥2x
 /// single-core runs/s for lane width 64 over lane width 1, plus
-/// a trend gate against the previous `BENCH_PR9.json` when one exists.
+/// a trend gate against the tracked `BENCH_PR9.json` when one exists.
 fn bench_pr9() {
     use gdatalog_core::Session;
     use gdatalog_data::tuple;
 
     header(
         "BENCH9",
-        "batched Monte-Carlo execution (written to BENCH_PR9.json)",
+        "batched Monte-Carlo execution (written to target/bench/BENCH_PR9.json)",
     );
 
     let session = Session::from_source("R(Flip<0.5>) :- true. S(X) :- R(X).", SemanticsMode::Grohe)

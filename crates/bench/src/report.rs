@@ -12,16 +12,21 @@
 //!
 //! `metrics` are flat name → number pairs (slash-namespaced by
 //! convention, e.g. `"serving/batch_1worker/req_per_s"`); `gates` are the
-//! suite's acceptance criteria. [`Report::write`] renders the JSON, then
-//! **panics if any gate failed** — a bench smoke in CI fails the build by
-//! construction, with the failing gate named in the message and the full
-//! report on disk for the artifact upload.
+//! suite's acceptance criteria. [`Report::write`] renders the JSON into
+//! [`OUT_DIR`], then **panics if any gate failed** — a bench smoke in CI
+//! fails the build by construction, with the failing gate named in the
+//! message and the full report on disk for the artifact upload.
 //!
-//! [`check_trend`] compares a gated ratio against the previous report on
-//! disk (when one exists), so local re-runs and cached CI workspaces
-//! catch regressions that still clear the absolute floor.
+//! The `BENCH_PR*.json` files tracked at the workspace root are frozen
+//! history: a run writes under the build directory, never over them.
+//! [`check_trend`] compares a gated ratio against such a frozen report,
+//! so re-runs catch regressions that still clear the absolute floor.
 
 use std::fmt::Write as _;
+
+/// Where [`Report::write`] puts its reports, relative to the workspace
+/// root the suites run from: inside the ignored build directory.
+pub const OUT_DIR: &str = "target/bench";
 
 /// One bench suite's machine-readable result: flat metrics plus named
 /// pass/fail gates, serialized as `{pr, bench, metrics{...}, gates{...}}`.
@@ -102,14 +107,16 @@ impl Report {
         out
     }
 
-    /// Writes the report to `path`, then asserts every gate passed — the
-    /// report survives on disk for the CI artifact even when the process
-    /// exits nonzero.
+    /// Writes the report to `name` in [`OUT_DIR`], then asserts every gate
+    /// passed — the report survives on disk for the CI artifact even when
+    /// the process exits nonzero.
     ///
     /// # Panics
-    /// When a gate failed (naming it), or when `path` is not writable.
-    pub fn write(&self, path: &str) {
-        std::fs::write(path, self.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    /// When a gate failed (naming it), or when the file is not writable.
+    pub fn write(&self, name: &str) {
+        let path = format!("{OUT_DIR}/{name}");
+        std::fs::create_dir_all(OUT_DIR).unwrap_or_else(|e| panic!("create {OUT_DIR}: {e}"));
+        std::fs::write(&path, self.to_json()).unwrap_or_else(|e| panic!("write {path}: {e}"));
         println!("\n  wrote {path}");
         if let Some(gate) = self.failed_gate() {
             panic!("acceptance gate `{gate}` failed — see {path}");
@@ -129,7 +136,8 @@ pub fn previous_metric(path: &str, metric: &str) -> Option<f64> {
     })
 }
 
-/// The trend gate: when a previous report exists at `path`, the new value
+/// The trend gate: when a previous report exists at `path` (the frozen,
+/// tracked report of the suite), the new value
 /// of `metric` must not regress below `tolerance` × the previous value
 /// (e.g. `0.8` tolerates 20% machine noise). Records the verdict on
 /// `report` as gate `"<metric>_trend"`; a missing previous report passes

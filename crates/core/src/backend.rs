@@ -59,10 +59,15 @@ pub struct EvalOptions {
     /// Monte-Carlo batch size: how many runs the lane-group executor
     /// drives in lockstep, sharing the deterministic chase prefix and the
     /// per-step applicability/kernel work (see `crates/core/src/mc_batch.rs`).
-    /// Results are bit-identical at any batch size; at `1` every run is a
-    /// lane group of its own. The default was chosen by the `mc_batch`
-    /// criterion sweep. Deadline checks are cooperative at batch
-    /// boundaries, so one batch bounds the deadline overshoot.
+    /// Sharing also spans batches: each worker keeps a memo of the
+    /// discrete chase-tree paths its batches have chased, and later lanes
+    /// drawing the same outcomes follow it without chasing. Results are
+    /// bit-identical at any batch size; at `1` every run is a lane group
+    /// of its own and nothing is memoized — the unshared reference. The
+    /// batch is also the scheduling quantum: deadline checks are
+    /// cooperative at batch boundaries, so one batch bounds the deadline
+    /// overshoot, and the adaptive ESS schedule grows in whole batches.
+    /// The default was chosen by the `mc_batch` criterion sweep.
     pub batch: usize,
     /// Budget along any chase path: maximum depth for exact enumeration,
     /// maximum steps/rounds per Monte-Carlo run. Deeper paths are charged
@@ -417,7 +422,7 @@ pub(crate) fn mc_stream(
     range: std::ops::Range<usize>,
     raw: bool,
 ) -> Result<(), EngineError> {
-    let (program, input) = (job.program, job.input);
+    let program = job.program;
     let runs = range.len();
     if runs == 0 {
         return Ok(());
@@ -434,73 +439,43 @@ pub(crate) fn mc_stream(
     // Drives one contiguous subrange of runs into one sink, reporting a
     // failure with the run index it occurred at. `batch` runs execute in
     // lockstep as lane groups sharing the deterministic prefix and
-    // per-step chase work (`crate::mc_batch`), then one `observe_batch`
-    // emits the whole lane batch by reference. Deadline checks are
-    // cooperative at batch boundaries. Conditioned log-weights are a
-    // deterministic function of the final world, so lanes sharing one
-    // terminated world (one `Rc`) evaluate the likelihood once.
+    // per-step chase work, and the worker's chase-tree memo shares the
+    // recorded paths and their likelihoods across its batches
+    // (`crate::mc_batch`); one `observe_batch` then emits the whole lane
+    // batch by reference. Deadline checks are cooperative at batch
+    // boundaries.
     let drive = |sink: &mut dyn WorldSink,
                  chunk: std::ops::Range<usize>|
      -> Result<(), (usize, EngineError)> {
-        use crate::mc_batch::LaneObs;
+        use crate::mc_batch::{ChaseMemo, LaneObs};
         use gdatalog_pdb::BatchObs;
+        let mut memo = ChaseMemo::new(options);
         let mut lo = chunk.start;
         while lo < chunk.end {
             let hi = (lo + batch_size).min(chunk.end);
             if let Err(e) = crate::exact::check_deadline(options.deadline) {
                 return Err((lo, e));
             }
-            let lanes = crate::mc_batch::run_batch(
-                program,
-                &prepared,
-                input,
-                options,
-                &existential,
-                lo..hi,
-            );
-            // One likelihood evaluation per distinct shared world,
-            // keyed by the world's allocation (worker-local `Rc`s).
-            let mut likelihoods: Vec<(*const Instance, f64)> = Vec::new();
+            let lanes = crate::mc_batch::run_batch(job, &prepared, &existential, &mut memo, lo..hi);
             let mut batch_obs: Vec<BatchObs<'_>> = Vec::with_capacity(lanes.len());
             let mut failure: Option<(usize, EngineError)> = None;
             for (off, lane) in lanes.iter().enumerate() {
                 match lane {
-                    LaneObs::World(world) => {
-                        if observes.is_empty() {
-                            if raw {
-                                batch_obs.push(BatchObs::LogWorld(world, 0.0));
-                            } else {
-                                batch_obs.push(BatchObs::World(world, weight));
-                            }
-                            continue;
-                        }
-                        let key = std::rc::Rc::as_ptr(world);
-                        let lw = match likelihoods.iter().find(|(k, _)| *k == key) {
-                            Some(&(_, lw)) => lw,
-                            None => match observe::log_weight(observes, world) {
-                                Ok(lw) => {
-                                    likelihoods.push((key, lw));
-                                    lw
-                                }
-                                Err(e) => {
-                                    failure = Some((lo + off, e));
-                                    break;
-                                }
-                            },
-                        };
-                        if lw != f64::NEG_INFINITY {
-                            batch_obs.push(BatchObs::LogWorld(world, lw - log_shift));
-                        }
+                    LaneObs::World(world) if raw => batch_obs.push(BatchObs::LogWorld(world, 0.0)),
+                    LaneObs::World(world) => batch_obs.push(BatchObs::World(world, weight)),
+                    LaneObs::Weighted(world, lw) => {
+                        batch_obs.push(BatchObs::LogWorld(world, lw - log_shift));
                     }
+                    // Conditioning is taken given termination: rejected
+                    // and budget-exhausted runs are dropped.
+                    LaneObs::Rejected => {}
                     LaneObs::Budget => {
-                        // Conditioning is taken given termination:
-                        // budget-exhausted runs are dropped.
                         if observes.is_empty() {
                             batch_obs.push(BatchObs::Deficit(DeficitKind::Nontermination, weight));
                         }
                     }
                     LaneObs::Failed(err) => {
-                        failure = Some((lo + off, EngineError::Dist(err.clone())));
+                        failure = Some((lo + off, err.clone()));
                         break;
                     }
                 }

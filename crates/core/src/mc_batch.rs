@@ -1,6 +1,7 @@
 //! Batched Monte-Carlo execution: lane groups in lockstep over a shared
-//! chase state. This is the one executor that turns run indices into
-//! Monte-Carlo observations, for every [`ChaseVariant`].
+//! chase state, and a per-worker memo of the chase tree they walk. This
+//! is the one executor that turns run indices into Monte-Carlo
+//! observations, for every [`ChaseVariant`].
 //!
 //! The chase is embarrassingly parallel across runs, and with per-run
 //! derived RNG streams ([`crate::mc::derive_seed`]) the runs of a batch
@@ -22,16 +23,31 @@
 //! step, or a whole parallel round) draws diverging outcomes: lanes are
 //! partitioned by their joint outcome vector (first-occurrence order), the
 //! first partition continues on the group's state in place, and each later
-//! partition clones the state — cached `App(D)` included — once. Discrete
-//! programs with few distinct outcomes thus share almost all chase work
-//! across a batch, while continuous programs degenerate gracefully to one
-//! lane per group after the first continuous sample — still amortizing
-//! the shared prefix, the applicability probes before the fork, and the
-//! batched kernel calls. `Random`-policy runs select from a per-run
-//! derived stream, so no two lanes share a selection state: their batch
-//! starts as one group per lane.
+//! partition clones the state — cached `App(D)` included — once. Continuous
+//! programs degenerate to one lane per group after the first continuous
+//! sample — still amortizing the shared prefix, the applicability probes
+//! before the fork, and the batched kernel calls. `Random`-policy runs
+//! select from a per-run derived stream, so no two lanes share a selection
+//! state: their batch starts as one group per lane.
 //!
-//! Sampling inside a group is **spec-major** via
+//! Sharing also spans batches. A Monte-Carlo run is a random walk down the
+//! chase tree (Def. 4.2), and for a discrete program runs drawing the same
+//! outcomes reach the same node, so a [`ChaseMemo`] kept by each worker
+//! records the tree the group loop has chased: at each existential step or
+//! parallel round, the draws' families and evaluated parameters, one child
+//! per joint outcome, and at each leaf the terminal observation with its
+//! evidence log-likelihood. A batch first **walks** the memo: lanes draw
+//! at each recorded node exactly as the group loop would, then follow the
+//! edge of their outcomes with no chase state, no `App(D)` work and no
+//! insert. Lanes whose outcomes leave the recorded tree are chased from
+//! their run's seed by the group loop, which records the nodes it passes.
+//! Only discrete draws are recorded (a continuous draw ends the memo
+//! path), nothing is recorded at batch 1 or under the `Random` policy,
+//! the memo never holds a chase state, and recording stops at a fixed
+//! size; a memo that stops growing while resolving less than half of a
+//! batch is dropped.
+//!
+//! Sampling inside a group or at a memo node is **spec-major** via
 //! [`gdatalog_dist::ParamDist::sample_batch`]: parameters are evaluated
 //! once per spec (they are a function of the valuation, shared by the
 //! whole group) and each lane's RNG is touched once per spec in spec
@@ -43,37 +59,292 @@
 //! when their sampled values are the same points of the value domain —
 //! their futures are then provably identical.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use gdatalog_data::{Instance, RelId, Tuple, Value};
 use gdatalog_datalog::Delta;
-use gdatalog_dist::DistError;
-use gdatalog_lang::{CompiledProgram, ExistentialHead, RuleKind};
+use gdatalog_dist::{DistError, ParamDist};
+use gdatalog_lang::{CompiledObserve, CompiledProgram, ExistentialHead, RuleKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
-use crate::backend::EvalOptions;
+use crate::backend::{EvalJob, EvalOptions};
 use crate::mc::{derive_seed, ChaseVariant};
+use crate::observe;
 use crate::parallel::fires_in_round;
 use crate::policy::{ChasePolicy, PolicyKind};
+use crate::EngineError;
 
 /// Per-lane result of a batched execution. Terminated lanes of one group
-/// share their projected world through an [`Rc`] (the batch is always
-/// driven and consumed on one worker thread), so a group of N identical
-/// runs materializes its world once.
+/// (or one memo leaf) share their projected world through an [`Rc`] (the
+/// batch is always driven and consumed on one worker thread), so a group
+/// of N identical runs materializes its world once.
 #[derive(Debug, Clone)]
 pub(crate) enum LaneObs {
-    /// The lane terminated with this world (post `keep_aux` projection).
+    /// The lane terminated with this world (post `keep_aux` projection);
+    /// the evaluation is unconditioned.
     World(Rc<Instance>),
+    /// The lane terminated with this world; the evaluation is
+    /// conditioned, and the second field is the evidence's log-likelihood
+    /// of the world (never `-inf`).
+    Weighted(Rc<Instance>, f64),
+    /// The lane terminated in a world the evidence rules out.
+    Rejected,
     /// The lane exhausted the step budget (the error event `err`).
     Budget,
-    /// A runtime distribution failure. The whole group of the failing
-    /// lane is marked failed: parameters are shared group-wide, so for
-    /// the standard family the error is lane-independent.
-    Failed(DistError),
+    /// A runtime distribution or likelihood failure. The whole group of
+    /// the failing lane is marked failed: parameters are shared
+    /// group-wide, so for the standard family the error is
+    /// lane-independent.
+    Failed(EngineError),
+}
+
+/// One draw of a step: the family and its evaluated parameters.
+type Spec = (Arc<dyn ParamDist>, Vec<Value>);
+
+/// The memo stops recording once it holds this many cells: one per node,
+/// plus one per fact of a recorded world.
+const MEMO_CELLS: usize = 1 << 14;
+
+/// One node of the recorded chase tree.
+enum Node {
+    /// Reached, but not recorded: lanes arriving here are chased.
+    Open,
+    /// An existential step or parallel round whose draws are all
+    /// discrete, in firing order, with one child per joint outcome.
+    Draws {
+        specs: Vec<Spec>,
+        children: HashMap<Vec<Value>, usize>,
+    },
+    /// A terminal observation (never [`LaneObs::Failed`]).
+    Leaf(LaneObs),
+}
+
+/// The chase tree one worker has recorded across the lane batches of one
+/// evaluation (see the module docs). Node 0 is the root: the first step
+/// that draws, from the job's input.
+pub(crate) struct ChaseMemo {
+    nodes: Vec<Node>,
+    /// Nodes plus the facts of recorded worlds; see [`MEMO_CELLS`].
+    cells: usize,
+    /// Whether batches walk the memo and the group loop records into it.
+    active: bool,
+    /// Paths the group loop chased to their end, and the steps or
+    /// rounds it ran.
+    #[cfg(test)]
+    paths: usize,
+    #[cfg(test)]
+    steps: usize,
+}
+
+impl ChaseMemo {
+    /// An empty memo for the batches of one evaluation under `options`:
+    /// inactive at batch 1 (the unshared reference) and under the
+    /// `Random` policy (no two runs share a selection state).
+    pub(crate) fn new(options: &EvalOptions) -> ChaseMemo {
+        let random = matches!(
+            options.variant,
+            ChaseVariant::Sequential(PolicyKind::Random { .. })
+        );
+        ChaseMemo {
+            nodes: vec![Node::Open],
+            cells: 1,
+            active: options.batch > 1 && !random,
+            #[cfg(test)]
+            paths: 0,
+            #[cfg(test)]
+            steps: 0,
+        }
+    }
+
+    /// Walks the lanes of `range` down the recorded tree, filling
+    /// `results` for the lanes that reach a leaf (or fail at a node), and
+    /// returns the batch-local lanes left to chase, in ascending order.
+    fn walk(&self, seed: u64, range: Range<usize>, results: &mut [Option<LaneObs>]) -> Vec<usize> {
+        let all: Vec<usize> = (0..range.len()).collect();
+        if !self.active || matches!(self.nodes[0], Node::Open) {
+            return all;
+        }
+        let rngs = range.map(|run_ix| lane_rng(seed, run_ix)).collect();
+        let mut stack: Vec<(usize, Vec<usize>, Vec<StdRng>)> = vec![(0, all, rngs)];
+        let mut chase = Vec::new();
+        let (mut outcomes, mut densities) = (Vec::new(), Vec::new());
+        while let Some((node, mut lanes, mut rngs)) = stack.pop() {
+            let (specs, children) = match &self.nodes[node] {
+                Node::Open => {
+                    chase.extend(lanes);
+                    continue;
+                }
+                Node::Leaf(obs) => {
+                    for lane in lanes {
+                        results[lane] = Some(obs.clone());
+                    }
+                    continue;
+                }
+                Node::Draws { specs, children } => (specs, children),
+            };
+            outcomes.clear();
+            let drawn = specs.iter().try_for_each(|(dist, params)| {
+                draw(&**dist, params, &mut rngs, &mut outcomes, &mut densities)
+            });
+            if let Err(err) = drawn {
+                let failed = LaneObs::Failed(EngineError::Dist(err));
+                for lane in lanes {
+                    results[lane] = Some(failed.clone());
+                }
+                continue;
+            }
+            let (tags, joints) = partition(&outcomes, lanes.len());
+            for (tag, joint) in joints.iter().enumerate().skip(1) {
+                let (members, rngs) = part(&tags, tag, &lanes, &rngs);
+                match children.get(joint.as_slice()) {
+                    Some(&child) => stack.push((child, members, rngs)),
+                    None => chase.extend(members),
+                }
+            }
+            keep_first_part(&tags, &mut lanes, &mut rngs);
+            match children.get(joints[0].as_slice()) {
+                Some(&child) => stack.push((child, lanes, rngs)),
+                None => chase.extend(lanes),
+            }
+        }
+        chase.sort_unstable();
+        chase
+    }
+
+    /// Records `specs` at `node` if the node is open and every draw is
+    /// discrete; returns whether the group stays on the memo.
+    fn record_draws(&mut self, node: usize, specs: &mut Vec<Spec>) -> bool {
+        match &self.nodes[node] {
+            Node::Draws { .. } => true,
+            Node::Open if specs.iter().all(|(dist, _)| dist.is_discrete()) => {
+                self.cells += specs.len();
+                self.nodes[node] = Node::Draws {
+                    specs: std::mem::take(specs),
+                    children: HashMap::new(),
+                };
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The child of recorded `node` along `joint`, opened if new and the
+    /// memo has room.
+    fn child(&mut self, node: usize, joint: &[Value]) -> Option<usize> {
+        let next = self.nodes.len();
+        let full = self.cells >= MEMO_CELLS;
+        let Node::Draws { children, .. } = &mut self.nodes[node] else {
+            unreachable!("a group on the memo sits at a recorded step")
+        };
+        if let Some(&child) = children.get(joint) {
+            return Some(child);
+        }
+        if full {
+            return None;
+        }
+        children.insert(joint.to_vec(), next);
+        self.nodes.push(Node::Open);
+        self.cells += 1;
+        Some(next)
+    }
+
+    /// Records a group's terminal observation at its open `node`, unless
+    /// it failed or its world does not fit.
+    fn record_leaf(&mut self, node: usize, obs: &LaneObs) {
+        let size = match obs {
+            LaneObs::World(world) | LaneObs::Weighted(world, _) => world.len(),
+            LaneObs::Rejected | LaneObs::Budget => 0,
+            LaneObs::Failed(_) => return,
+        };
+        if matches!(self.nodes[node], Node::Open) && self.cells + size <= MEMO_CELLS {
+            self.cells += size;
+            self.nodes[node] = Node::Leaf(obs.clone());
+        }
+    }
+
+    /// How many nodes hold a recorded step or leaf.
+    #[cfg(test)]
+    fn recorded(&self) -> usize {
+        self.nodes
+            .iter()
+            .filter(|node| !matches!(node, Node::Open))
+            .count()
+    }
+
+    /// Drops a memo that recorded nothing during a batch and resolved
+    /// less than half of it: walking it costs more draws than it saves.
+    fn settle(&mut self, cells_before: usize, lanes: usize, chased: usize) {
+        if self.active && self.cells == cells_before && 2 * chased > lanes {
+            self.active = false;
+            self.nodes = vec![Node::Open];
+        }
+    }
+}
+
+/// Run `run_ix`'s Monte-Carlo stream.
+fn lane_rng(seed: u64, run_ix: usize) -> StdRng {
+    StdRng::seed_from_u64(derive_seed(seed, run_ix as u64))
+}
+
+/// Draws one outcome per lane from `dist` under `params`, appending them
+/// to `outcomes`. The reference loops' `fire` computes every outcome's
+/// log-density (the run's log-weight); this matches its work and its
+/// error surface, discarding the values — emission recomputes the
+/// conditioned weight from the final world.
+fn draw(
+    dist: &dyn ParamDist,
+    params: &[Value],
+    rngs: &mut [StdRng],
+    outcomes: &mut Vec<Value>,
+    densities: &mut Vec<f64>,
+) -> Result<(), DistError> {
+    let start = outcomes.len();
+    dist.sample_batch(params, rngs, outcomes)?;
+    densities.clear();
+    dist.log_density_batch(params, &outcomes[start..], densities)
+}
+
+/// Partitions `lanes` lanes by their joint outcomes, stored spec-major in
+/// `outcomes` (draw `s` of lane `l` at `s * lanes + l`): each lane's part
+/// index, and each part's joint outcome vector, in first-occurrence
+/// order.
+fn partition(outcomes: &[Value], lanes: usize) -> (Vec<usize>, Vec<Vec<Value>>) {
+    let joint = |lane: usize| outcomes.iter().skip(lane).step_by(lanes);
+    let mut joints: Vec<Vec<Value>> = Vec::new();
+    let tags = (0..lanes)
+        .map(|lane| {
+            let found = joints.iter().position(|j| j.iter().eq(joint(lane)));
+            found.unwrap_or_else(|| {
+                joints.push(joint(lane).cloned().collect());
+                joints.len() - 1
+            })
+        })
+        .collect();
+    (tags, joints)
+}
+
+/// The lanes of part `tag` (see [`partition`]) and copies of their RNGs.
+fn part(tags: &[usize], tag: usize, lanes: &[usize], rngs: &[StdRng]) -> (Vec<usize>, Vec<StdRng>) {
+    tags.iter()
+        .zip(lanes.iter().zip(rngs))
+        .filter(|(t, _)| **t == tag)
+        .map(|(_, (&lane, rng))| (lane, rng.clone()))
+        .unzip()
+}
+
+/// Keeps only the lanes of part 0 (see [`partition`]), in place.
+fn keep_first_part(tags: &[usize], lanes: &mut Vec<usize>, rngs: &mut Vec<StdRng>) {
+    if tags.iter().any(|&tag| tag != 0) {
+        let mut keep = tags.iter().map(|&tag| tag == 0);
+        lanes.retain(|_| keep.next() == Some(true));
+        let mut keep = tags.iter().map(|&tag| tag == 0);
+        rngs.retain(|_| keep.next() == Some(true));
+    }
 }
 
 /// A set of runs whose chase states are still identical.
@@ -87,26 +358,25 @@ struct Group {
     policy: ChasePolicy,
     /// Chase steps, or rounds for the parallel chase.
     steps: usize,
+    /// The memo node the group's next draw or end records into, while
+    /// the group's path is on the memo.
+    node: Option<usize>,
 }
 
 /// The experiments one chase step or parallel round fired, with every
 /// lane's outcomes of them, awaiting the split.
+#[derive(Default)]
 struct Draws {
     /// Per experiment, in firing order: its auxiliary relation, its key
     /// values, and how many outcomes each lane drew for it.
     experiments: Vec<(RelId, Vec<Value>, usize)>,
-    /// Per lane: its outcomes of every experiment, concatenated.
-    joints: Vec<Vec<Value>>,
+    /// Every draw, in firing order.
+    specs: Vec<Spec>,
+    /// Every lane's outcome of every draw, spec-major.
+    outcomes: Vec<Value>,
 }
 
 impl Draws {
-    fn new(lanes: usize) -> Draws {
-        Draws {
-            experiments: Vec::new(),
-            joints: vec![Vec::new(); lanes],
-        }
-    }
-
     /// Samples experiment `e` under `valuation` in every lane, spec-major.
     fn sample(
         &mut self,
@@ -114,21 +384,17 @@ impl Draws {
         valuation: &Tuple,
         rngs: &mut [StdRng],
     ) -> Result<(), DistError> {
-        let mut outcomes = Vec::with_capacity(rngs.len());
         let mut densities = Vec::with_capacity(rngs.len());
         for spec in &e.samples {
             let params = eval_terms(&spec.param_terms, valuation);
-            spec.dist.sample_batch(&params, rngs, &mut outcomes)?;
-            // The reference loops' fire() computes every outcome's
-            // log-density (the run's log-weight); match its work and its
-            // error surface, discarding the values — emission recomputes
-            // the conditioned weight from the final world.
-            densities.clear();
-            spec.dist
-                .log_density_batch(&params, &outcomes, &mut densities)?;
-            for (joint, outcome) in self.joints.iter_mut().zip(outcomes.drain(..)) {
-                joint.push(outcome);
-            }
+            draw(
+                &*spec.dist,
+                &params,
+                rngs,
+                &mut self.outcomes,
+                &mut densities,
+            )?;
+            self.specs.push((Arc::clone(&spec.dist), params));
         }
         self.experiments.push((
             e.aux_rel,
@@ -178,6 +444,7 @@ impl Group {
         program: &CompiledProgram,
         prepared: &PreparedProgram,
         variant: ChaseVariant,
+        memo: &mut ChaseMemo,
         worklist: &mut Vec<Group>,
     ) -> Result<(), DistError> {
         let app = self.state.app(prepared, program);
@@ -194,9 +461,9 @@ impl Group {
                 self.apply_fact(prepared, variant, head.rel, tuple);
             }
             RuleKind::Existential(e) => {
-                let mut draws = Draws::new(self.lanes.len());
+                let mut draws = Draws::default();
                 draws.sample(e, &valuation, &mut self.rngs)?;
-                self.split(prepared, variant, draws, worklist);
+                self.split(prepared, variant, draws, memo, worklist);
             }
         }
         Ok(())
@@ -213,11 +480,12 @@ impl Group {
         &mut self,
         program: &CompiledProgram,
         prepared: &PreparedProgram,
+        memo: &mut ChaseMemo,
         worklist: &mut Vec<Group>,
     ) -> Result<(), DistError> {
         // The round inserts while it walks the pairs, so it walks a copy.
         let app = self.state.app(prepared, program).to_vec();
-        let mut draws = Draws::new(self.lanes.len());
+        let mut draws = Draws::default();
         let mut sampled = HashSet::new();
         for AppPair { rule, valuation } in app {
             let rule = &program.rules[rule];
@@ -233,7 +501,7 @@ impl Group {
             }
         }
         self.steps += 1;
-        self.split(prepared, ChaseVariant::Parallel, draws, worklist);
+        self.split(prepared, ChaseVariant::Parallel, draws, memo, worklist);
         Ok(())
     }
 
@@ -242,25 +510,29 @@ impl Group {
     /// order. Later partitions clone the state once each and go onto the
     /// worklist; partition 0 keeps the group's state in place. Most splits
     /// have one partition (discrete draws agree) or all singletons
-    /// (continuous draws).
+    /// (continuous draws). A group on the memo records the draws and
+    /// moves each partition to the child of its outcomes; a round that
+    /// drew nothing stays at its node.
     fn split(
         &mut self,
         prepared: &PreparedProgram,
         variant: ChaseVariant,
         draws: Draws,
+        memo: &mut ChaseMemo,
         worklist: &mut Vec<Group>,
     ) {
         let Draws {
             experiments,
-            joints,
+            mut specs,
+            outcomes,
         } = draws;
-        let mut parts: Vec<(Vec<usize>, Vec<Value>)> = Vec::new();
-        for (li, joint) in joints.into_iter().enumerate() {
-            match parts.iter_mut().find(|(_, j)| *j == joint) {
-                Some((members, _)) => members.push(li),
-                None => parts.push((vec![li], joint)),
-            }
-        }
+        let (tags, joints) = partition(&outcomes, self.lanes.len());
+        let at = match self.node {
+            Some(node) if !specs.is_empty() => memo.record_draws(node, &mut specs).then_some(node),
+            _ => None,
+        };
+        let stay = if specs.is_empty() { self.node } else { None };
+        let mut child = |joint: &[Value]| at.map_or(stay, |node| memo.child(node, joint));
         let apply = |group: &mut Group, joint: Vec<Value>| {
             let mut outcomes = joint.into_iter();
             for (rel, key, width) in &experiments {
@@ -270,71 +542,120 @@ impl Group {
                 group.apply_fact(prepared, variant, *rel, Tuple::from(values));
             }
         };
-        for (members, joint) in parts.drain(1..) {
+        let mut joints = joints.into_iter();
+        let first = joints.next().expect("a non-empty group partitions");
+        let first_node = child(&first);
+        for (tag, joint) in (1..).zip(joints) {
+            let (lanes, rngs) = part(&tags, tag, &self.lanes, &self.rngs);
             let mut spawned = Group {
-                lanes: members.iter().map(|&li| self.lanes[li]).collect(),
-                rngs: members.iter().map(|&li| self.rngs[li].clone()).collect(),
+                lanes,
+                rngs,
                 state: self.state.clone(),
                 policy: self.policy.clone(),
                 steps: self.steps,
+                node: child(&joint),
             };
             apply(&mut spawned, joint);
             worklist.push(spawned);
         }
-        let (members, joint) = parts.pop().expect("a non-empty group partitions");
-        if members.len() < self.lanes.len() {
-            self.lanes = members.iter().map(|&li| self.lanes[li]).collect();
-            self.rngs = members.iter().map(|&li| self.rngs[li].clone()).collect();
-        }
-        apply(self, joint);
+        keep_first_part(&tags, &mut self.lanes, &mut self.rngs);
+        self.node = first_node;
+        apply(self, first);
     }
 }
 
-/// Executes the runs `range` as one batch and returns one observation per
-/// lane, in run-index order. Each lane's outcome is bit-identical to the
-/// reference loop of `options.variant` on the same run index (same derived
-/// seeds, same draw order, same step accounting); only the *work* is
-/// shared across lanes, never the randomness.
+/// The observation of a terminated run with `world`: weighted by the
+/// evidence's log-likelihood when conditioned.
+fn terminal(world: Instance, observes: &[CompiledObserve]) -> LaneObs {
+    if observes.is_empty() {
+        return LaneObs::World(Rc::new(world));
+    }
+    match observe::log_weight(observes, &world) {
+        Ok(lw) if lw == f64::NEG_INFINITY => LaneObs::Rejected,
+        Ok(lw) => LaneObs::Weighted(Rc::new(world), lw),
+        Err(err) => LaneObs::Failed(err),
+    }
+}
+
+/// Executes the runs `range` of `job` as one batch and returns one
+/// observation per lane, in run-index order. Each lane's outcome is
+/// bit-identical to the reference loop of `job.options.variant` on the
+/// same run index (same derived seeds, same draw order, same step
+/// accounting); only the *work* is shared across lanes — within the batch
+/// by lane groups, across batches through `memo` — never the randomness.
 ///
 /// Deadline checks stay outside (cooperative at batch boundaries).
 pub(crate) fn run_batch(
-    program: &CompiledProgram,
+    job: &EvalJob<'_>,
     prepared: &PreparedProgram,
-    input: &Instance,
-    options: &EvalOptions,
     existential: &[usize],
+    memo: &mut ChaseMemo,
     range: Range<usize>,
 ) -> Vec<LaneObs> {
-    let n = range.len();
-    if n == 0 {
+    if range.is_empty() {
         return Vec::new();
     }
+    let mut results: Vec<Option<LaneObs>> = vec![None; range.len()];
+    let chase = memo.walk(job.options.seed, range.clone(), &mut results);
+    if !chase.is_empty() {
+        let (cells, chased) = (memo.cells, chase.len());
+        chase_lanes(
+            job,
+            prepared,
+            existential,
+            memo,
+            range.start,
+            chase,
+            &mut results,
+        );
+        memo.settle(cells, range.len(), chased);
+    }
+    results
+        .into_iter()
+        .map(|obs| obs.expect("every lane is assigned exactly once"))
+        .collect()
+}
+
+/// Chases the batch-local `lanes` of the batch starting at run `start`
+/// through the group loop, from their runs' seeds, recording the paths
+/// on the memo.
+fn chase_lanes(
+    job: &EvalJob<'_>,
+    prepared: &PreparedProgram,
+    existential: &[usize],
+    memo: &mut ChaseMemo,
+    start: usize,
+    lanes: Vec<usize>,
+    results: &mut [Option<LaneObs>],
+) {
+    let (program, options) = (job.program, job.options);
     let variant = options.variant;
 
     // Root state: the deterministic prefix below is shared by every lane
     // of a group.
     let (state, steps) = if variant == ChaseVariant::Saturating {
-        let mut state = ChaseState::existential(prepared, program, input.clone());
+        let mut state = ChaseState::existential(prepared, program, job.input.clone());
         let derived = state.saturate(prepared, None);
         (state, derived)
     } else {
-        (ChaseState::new(prepared, program, input.clone()), 0)
+        (ChaseState::new(prepared, program, job.input.clone()), 0)
     };
-    let rng = |run_ix: usize| StdRng::seed_from_u64(derive_seed(options.seed, run_ix as u64));
+    let rng = |lane: usize| lane_rng(options.seed, start + lane);
     let mut worklist: Vec<Group> = match variant {
-        ChaseVariant::Sequential(PolicyKind::Random { seed }) => range
-            .enumerate()
-            .map(|(lane, run_ix)| Group {
+        ChaseVariant::Sequential(PolicyKind::Random { seed }) => lanes
+            .iter()
+            .map(|&lane| Group {
                 lanes: vec![lane],
-                rngs: vec![rng(run_ix)],
+                rngs: vec![rng(lane)],
                 state: state.clone(),
                 policy: ChasePolicy::new(
                     PolicyKind::Random {
-                        seed: derive_seed(seed, run_ix as u64),
+                        seed: derive_seed(seed, (start + lane) as u64),
                     },
                     existential,
                 ),
                 steps,
+                node: None,
             })
             .collect(),
         _ => {
@@ -344,16 +665,16 @@ pub(crate) fn run_batch(
                 ChaseVariant::Parallel | ChaseVariant::Saturating => PolicyKind::Canonical,
             };
             vec![Group {
-                lanes: (0..n).collect(),
-                rngs: range.map(rng).collect(),
+                rngs: lanes.iter().map(|&lane| rng(lane)).collect(),
+                lanes,
                 state,
                 policy: ChasePolicy::new(kind, existential),
                 steps,
+                node: memo.active.then_some(0),
             }]
         }
     };
 
-    let mut results: Vec<Option<LaneObs>> = vec![None; n];
     while let Some(mut group) = worklist.pop() {
         let obs = loop {
             // The parallel loop checks its round budget before App(D): a
@@ -364,38 +685,44 @@ pub(crate) fn run_batch(
             }
             if group.state.app(prepared, program).is_empty() {
                 // Terminated: project once, share across the group.
-                break LaneObs::World(Rc::new(if options.keep_aux {
+                let world = if options.keep_aux {
                     group.state.into_instance()
                 } else {
                     program.project_output(group.state.instance())
-                }));
+                };
+                break terminal(world, job.observes);
             }
             if group.steps >= options.max_depth {
                 break LaneObs::Budget;
             }
             let fired = match variant {
-                ChaseVariant::Parallel => group.round(program, prepared, &mut worklist),
-                _ => group.step(program, prepared, variant, &mut worklist),
+                ChaseVariant::Parallel => group.round(program, prepared, memo, &mut worklist),
+                _ => group.step(program, prepared, variant, memo, &mut worklist),
             };
+            #[cfg(test)]
+            {
+                memo.steps += 1;
+            }
             if let Err(err) = fired {
                 // Parameters are shared group-wide, so the error is
                 // lane-independent for the standard family; a custom
                 // member failing on one lane's outcome fails its whole
                 // group (the batch boundary is the error granularity).
-                break LaneObs::Failed(err);
+                break LaneObs::Failed(EngineError::Dist(err));
             }
         };
+        if let Some(node) = group.node {
+            memo.record_leaf(node, &obs);
+        }
+        #[cfg(test)]
+        {
+            memo.paths += 1;
+        }
         for &lane in &group.lanes {
             results[lane] = Some(obs.clone());
         }
     }
-
-    results
-        .into_iter()
-        .map(|obs| obs.expect("every lane is assigned exactly once"))
-        .collect()
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -485,28 +812,48 @@ mod tests {
         }
     }
 
-    /// Drives `runs` runs through `run_batch` in lane batches of `batch`
-    /// and returns every lane's observation in run order.
+    /// Drives `runs` runs through `run_batch` in lane batches of `batch`,
+    /// on one memo as one worker does, and returns every lane's
+    /// observation in run order.
     fn batched(
         program: &CompiledProgram,
         options: &EvalOptions,
         batch: usize,
         runs: usize,
     ) -> Vec<LaneObs> {
+        batched_on(
+            program,
+            &[],
+            options,
+            batch,
+            runs,
+            &mut ChaseMemo::new(&EvalOptions { batch, ..*options }),
+        )
+    }
+
+    /// [`batched`] under `observes`, on a caller's memo.
+    fn batched_on(
+        program: &CompiledProgram,
+        observes: &[CompiledObserve],
+        options: &EvalOptions,
+        batch: usize,
+        runs: usize,
+        memo: &mut ChaseMemo,
+    ) -> Vec<LaneObs> {
         let prepared = PreparedProgram::new(program);
         let existential = existential_rules(program);
+        let job = EvalJob {
+            program,
+            prepared: Some(&prepared),
+            input: &program.initial_instance,
+            options,
+            observes,
+        };
         let mut out = Vec::with_capacity(runs);
         let mut lo = 0;
         while lo < runs {
             let hi = (lo + batch).min(runs);
-            let lanes = run_batch(
-                program,
-                &prepared,
-                &program.initial_instance,
-                options,
-                &existential,
-                lo..hi,
-            );
+            let lanes = run_batch(&job, &prepared, &existential, memo, lo..hi);
             assert_eq!(lanes.len(), hi - lo);
             out.extend(lanes);
             lo = hi;
@@ -642,5 +989,143 @@ mod tests {
             other => panic!("expected a world, got {other:?}"),
         };
         assert_eq!(Rc::strong_count(&first), 9, "8 lanes + the local clone");
+    }
+
+    /// The alarm network of the diagnosis benchmark, with three houses.
+    const DIAGNOSIS: &str = r#"
+        rel House(symbol) input.
+        House(h1). House(h2). House(h3).
+        Quake(Flip<0.05>) :- true.
+        Burglary(H, Flip<0.1>) :- House(H).
+        Trig(H, Flip<0.6>) :- House(H), Quake(1).
+        Trig(H, Flip<0.9>) :- Burglary(H, 1).
+        Alarm(H) :- Trig(H, 1).
+        SeismoMean(1, 3.0).
+        SeismoMean(0, 0.0).
+    "#;
+
+    #[test]
+    fn memo_chases_each_outcome_path_once() {
+        let program = compile(DIAGNOSIS, SemanticsMode::Grohe);
+        let prepared = PreparedProgram::new(&program);
+        // With the auxiliary relations kept, a world records every draw
+        // of its run: distinct worlds are distinct outcome paths.
+        let options = EvalOptions {
+            seed: 11,
+            keep_aux: true,
+            ..EvalOptions::default()
+        };
+        let runs = 64 * 24;
+        let mut memo = ChaseMemo::new(&options);
+        let lanes = batched_on(&program, &[], &options, 64, runs, &mut memo);
+        let mut paths: Vec<&Instance> = Vec::new();
+        for (run_ix, lane) in lanes.iter().enumerate() {
+            let LaneObs::World(world) = lane else {
+                panic!("run {run_ix} gave {lane:?}");
+            };
+            let expect = reference_obs(&program, &prepared, &options, run_ix);
+            assert_eq!(Some(&**world), expect.as_ref(), "run {run_ix}");
+            if !paths.contains(&&**world) {
+                paths.push(world);
+            }
+        }
+        assert!(
+            memo.paths <= paths.len(),
+            "{} paths chased for {} distinct outcome paths",
+            memo.paths,
+            paths.len()
+        );
+        assert!(paths.len() * 8 < runs, "the network shares paths");
+
+        // The same runs again follow recorded edges only: no chase step.
+        let (paths_before, steps_before) = (memo.paths, memo.steps);
+        let again = batched_on(&program, &[], &options, 64, 64, &mut memo);
+        assert_eq!((memo.paths, memo.steps), (paths_before, steps_before));
+        for (lane, first) in again.iter().zip(&lanes) {
+            let (LaneObs::World(a), LaneObs::World(b)) = (lane, first) else {
+                panic!("{lane:?} vs {first:?}");
+            };
+            assert_eq!(a, b);
+        }
+    }
+
+    #[test]
+    fn memo_leaves_carry_the_evidence_likelihood() {
+        let program = compile(DIAGNOSIS, SemanticsMode::Grohe);
+        let prepared = PreparedProgram::new(&program);
+        let observes = gdatalog_lang::compile_observations(
+            &program,
+            "Alarm(h1). Alarm(h2). Normal<M, 1.0> == 2.4 :- Quake(Q), SeismoMean(Q, M).",
+        )
+        .unwrap();
+        let options = EvalOptions {
+            seed: 5,
+            ..EvalOptions::default()
+        };
+        let runs = 64 * 20;
+        let mut memo = ChaseMemo::new(&options);
+        let lanes = batched_on(&program, &observes, &options, 64, runs, &mut memo);
+        assert!(memo.recorded() > 0);
+        let mut accepted = 0;
+        for (run_ix, lane) in lanes.iter().enumerate() {
+            let world = reference_obs(&program, &prepared, &options, run_ix).unwrap();
+            let lw = observe::log_weight(&observes, &world).unwrap();
+            match lane {
+                LaneObs::Weighted(got, got_lw) => {
+                    assert_eq!(**got, world, "run {run_ix}");
+                    assert_eq!(got_lw.to_bits(), lw.to_bits(), "run {run_ix}");
+                    accepted += 1;
+                }
+                LaneObs::Rejected => assert_eq!(lw, f64::NEG_INFINITY, "run {run_ix}"),
+                other => panic!("run {run_ix} gave {other:?}"),
+            }
+        }
+        assert!(accepted > 0 && accepted < runs);
+    }
+
+    #[test]
+    fn continuous_programs_leave_the_memo_empty() {
+        for src in [
+            "M(Normal<0.0, 1.0>) :- true. Y(Normal<X, 0.5>) :- M(X).",
+            // A discrete root whose every path ends in a continuous draw:
+            // recorded at first, dropped once it stops resolving lanes.
+            "Q(Flip<0.5>) :- true. M(Normal<0.0, 1.0>) :- Q(X).",
+        ] {
+            let program = compile(src, SemanticsMode::Grohe);
+            let options = EvalOptions::default();
+            let mut memo = ChaseMemo::new(&options);
+            batched_on(&program, &[], &options, 64, 64 * 4, &mut memo);
+            assert_eq!(memo.recorded(), 0, "{src}");
+        }
+    }
+
+    #[test]
+    fn memo_stops_recording_at_its_cap() {
+        // Twelve fair coins: 4096 outcome paths, more than the memo holds.
+        let src: String = (0..12)
+            .map(|i| format!("C{i}(Flip<0.5>) :- true. "))
+            .collect();
+        let program = compile(&src, SemanticsMode::Grohe);
+        let prepared = PreparedProgram::new(&program);
+        let options = EvalOptions {
+            seed: 3,
+            ..EvalOptions::default()
+        };
+        let mut memo = ChaseMemo::new(&options);
+        let lanes = batched_on(&program, &[], &options, 64, 64 * 40, &mut memo);
+        for (run_ix, lane) in lanes.iter().enumerate() {
+            let LaneObs::World(world) = lane else {
+                panic!("run {run_ix} gave {lane:?}");
+            };
+            let expect = reference_obs(&program, &prepared, &options, run_ix);
+            assert_eq!(Some(&**world), expect.as_ref(), "run {run_ix}");
+        }
+        // Recording filled the memo to within one 12-fact world of its
+        // cap, and a sequential step records at most one draw past it.
+        assert!(
+            memo.cells + 12 >= MEMO_CELLS && memo.cells <= MEMO_CELLS + 1,
+            "{} cells",
+            memo.cells
+        );
     }
 }

@@ -64,6 +64,28 @@ pub enum BackendSpec {
     Mh,
 }
 
+impl BackendSpec {
+    /// Every backend, in wire-documentation order.
+    pub(crate) const ALL: [BackendSpec; 5] = [
+        BackendSpec::Auto,
+        BackendSpec::Exact,
+        BackendSpec::ExactParallel,
+        BackendSpec::Mc,
+        BackendSpec::Mh,
+    ];
+
+    /// The backend's name on the wire (the `"backend"` member).
+    pub(crate) fn wire_name(self) -> &'static str {
+        match self {
+            BackendSpec::Auto => "auto",
+            BackendSpec::Exact => "exact",
+            BackendSpec::ExactParallel => "exact-parallel",
+            BackendSpec::Mc => "mc",
+            BackendSpec::Mh => "mh",
+        }
+    }
+}
+
 /// One query of a request, with textual relation/fact references.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryKind {
@@ -411,18 +433,16 @@ impl Request {
             }
             None => vec![query_from_json(v)?],
         };
-        let backend = match opt_str("backend")?.as_deref().unwrap_or("auto") {
-            "auto" => BackendSpec::Auto,
-            "exact" => BackendSpec::Exact,
-            "exact-parallel" => BackendSpec::ExactParallel,
-            "mc" => BackendSpec::Mc,
-            "mh" => BackendSpec::Mh,
-            other => {
-                return Err(ServeError::BadRequest(format!(
-                    "unknown backend `{other}` (expected auto | exact | exact-parallel | mc | mh)"
-                )))
-            }
-        };
+        let backend = opt_str("backend")?;
+        let backend = backend.as_deref().unwrap_or("auto");
+        let backend = BackendSpec::ALL
+            .into_iter()
+            .find(|b| b.wire_name() == backend)
+            .ok_or_else(|| {
+                ServeError::BadRequest(format!(
+                    "unknown backend `{backend}` (expected auto | exact | exact-parallel | mc | mh)"
+                ))
+            })?;
         // Adaptive inference: `"infer": {"mode": "ess", "target": …,
         // "max_runs"?: …}`. Only the `ess` mode exists today; an explicit
         // unknown mode is an error, not a silent fixed-run fallback.
@@ -508,8 +528,8 @@ impl Request {
             if !matches!(self.backend, BackendSpec::Auto | BackendSpec::Mc) {
                 return bad(format!(
                     "`infer` (ESS-adaptive run control) requires the Monte-Carlo \
-                     backend, but the request asks for `{:?}`",
-                    self.backend
+                     backend, but the request asks for `{}`",
+                    self.backend.wire_name()
                 ));
             }
         } else if self.max_runs.is_some() {
@@ -1013,6 +1033,33 @@ mod tests {
                 matches!(Request::from_json(&v), Err(ServeError::BadRequest(_))),
                 "{bad} should be rejected at parse time"
             );
+        }
+    }
+
+    #[test]
+    fn infer_rejection_names_the_backend_by_its_wire_name() {
+        let exact_parallel = Request {
+            backend: BackendSpec::ExactParallel,
+            ..Request::marginal("A(x)")
+        };
+        for (request, name) in [
+            (Request::marginal("A(x)").exact(), "exact"),
+            (exact_parallel, "exact-parallel"),
+            (Request::marginal("A(x)").mh(10), "mh"),
+        ] {
+            let reason = request.ess_target(10.0).validate().unwrap_err().to_string();
+            assert!(
+                reason.ends_with(&format!("the request asks for `{name}`")),
+                "{reason}"
+            );
+        }
+        for backend in BackendSpec::ALL {
+            let doc = format!(
+                r#"{{"kind": "marginal", "fact": "A(x)", "backend": "{}"}}"#,
+                backend.wire_name()
+            );
+            let parsed = Request::from_json(&Json::parse(&doc).unwrap()).unwrap();
+            assert_eq!(parsed.backend, backend, "{doc}");
         }
     }
 

@@ -27,7 +27,9 @@
 //! ```
 //!
 //! Each command accepts exactly the flags listed in [`FLAGS`]; any other
-//! flag is an error, never a silent no-op.
+//! flag is an error, never a silent no-op. `query`'s per-kind flags
+//! (`--agg`, `--col`, `--lo`/`--hi`/`--bins`, `--q`, `--threshold`) are
+//! accepted only next to the kinds that read them ([`KIND_FLAGS`]).
 //!
 //! `query` is the command-line face of the serving layer
 //! (`gdatalog::serve`). Its flags are *lowered* to one wire [`Request`]
@@ -127,6 +129,19 @@ const FLAGS: &[(&str, &str, &[&str])] = &[
         "--addr", "--connections", "--duration-ms", "--rate", "--out",
     ]),
     ("tree", "<file.gdl>", &["--barany", "--depth"]),
+];
+
+/// `query`'s per-kind flags, each with the positional query kinds that
+/// read it: next to any other kind the flag is rejected, not ignored.
+#[rustfmt::skip]
+const KIND_FLAGS: &[(&str, &[&str])] = &[
+    ("--agg", &["expectation"]),
+    ("--col", &["expectation", "histogram", "quantile", "tail"]),
+    ("--lo", &["histogram"]),
+    ("--hi", &["histogram"]),
+    ("--bins", &["histogram"]),
+    ("--q", &["quantile"]),
+    ("--threshold", &["tail"]),
 ];
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -846,7 +861,8 @@ fn lower_query(args: &Args, program: &CompiledProgram) -> Result<Request, String
             .map(|r| program.catalog.decl(r).arity());
         arity.unwrap_or(0).saturating_sub(1)
     });
-    let primary = match args.query_kind.as_deref().expect("parsed") {
+    let kind = args.query_kind.as_deref().expect("parsed");
+    let primary = match kind {
         // The CLI's `marginal` has always meant all-fact marginals of a
         // relation; `marginals` (the wire-format name) is an alias.
         "marginal" | "marginals" => QueryKind::Marginals { rel },
@@ -886,6 +902,14 @@ fn lower_query(args: &Args, program: &CompiledProgram) -> Result<Request, String
             ))
         }
     };
+    for (flag, kinds) in KIND_FLAGS {
+        if !kinds.contains(&kind) && args.seen_flags.iter().any(|seen| seen == flag) {
+            return Err(format!(
+                "{flag} does not apply to `query {kind}`; it applies to {}",
+                kinds.join(" | ")
+            ));
+        }
+    }
     let mut queries = vec![primary];
     for spec in &args.and {
         queries.push(parse_and_spec(spec)?);

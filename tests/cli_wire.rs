@@ -297,3 +297,50 @@ fn commands_reject_flags_they_do_not_honour() {
         );
     }
 }
+
+/// `query` rejects the per-kind flags its query kind would ignore.
+#[test]
+fn query_rejects_flags_its_kind_does_not_read() {
+    let fx = fixture("cli_wire_kind_flags");
+    for (args, flag, kind) in [
+        ("marginal Alarm --q 0.5 --input IN", "--q", "marginal"),
+        ("expectation Alarm --q 0.5 --input IN", "--q", "expectation"),
+        (
+            "tail Earthquake --threshold 1 --lo 0 --input IN",
+            "--lo",
+            "tail",
+        ),
+        (
+            "quantile Earthquake --q 0.5 --hi 1 --input IN",
+            "--hi",
+            "quantile",
+        ),
+        (
+            "expectation Alarm --bins 4 --input IN",
+            "--bins",
+            "expectation",
+        ),
+        (
+            "histogram Earthquake --lo 0 --hi 1 --threshold 1 --input IN",
+            "--threshold",
+            "histogram",
+        ),
+        (
+            "quantile Earthquake --q 0.5 --agg max --input IN",
+            "--agg",
+            "quantile",
+        ),
+        ("marginal Alarm --col 1 --input IN", "--col", "marginal"),
+        ("marginals Alarm --col 1 --input IN", "--col", "marginals"),
+    ] {
+        let out = gdl_query(&fx, false, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`{args}`");
+        assert!(out.stdout.is_empty(), "`{args}`");
+        let first = stderr.lines().next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("gdl: {flag} does not apply to `query {kind}`")),
+            "`{args}`: {stderr}"
+        );
+    }
+}

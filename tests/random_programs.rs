@@ -4,7 +4,7 @@
 //! and the FD invariant (Lemma 3.10) — the stepping loops' cached
 //! `App(D)` equals the from-scratch definition after every step, and every
 //! Monte-Carlo chase variant streams the same observations at every lane
-//! width and worker count.
+//! width and worker count, with cross-batch sharing and without.
 //!
 //! Program shape: a layered pipeline `L0 → L1 → … → Lk` where each layer
 //! either copies, flips a coin parameterized by a constant, or joins two
@@ -355,6 +355,60 @@ proptest! {
                         got == reference,
                         "{:?}: batch {} × {} threads diverged on\n{}",
                         variant, batch, threads, src
+                    );
+                }
+            }
+        }
+    }
+
+    /// Sharing across lane batches (each worker's chase-tree memo) changes
+    /// no observation: over enough runs for every worker to walk its memo
+    /// for several batches, the `batch(64)` stream at 1 and 2 worker
+    /// threads equals the unshared `batch(1)` stream bit for bit, with and
+    /// without evidence.
+    #[test]
+    fn memoized_mc_streams_equal_the_unshared_stream(
+        layers in proptest::collection::vec(arb_layer(), 1..5),
+        seeds in 1u8..3,
+        seed in 0u64..1_000,
+        barany in 0u8..2,
+    ) {
+        let src = render(&layers, seeds);
+        let mode = if barany == 1 { SemanticsMode::Barany } else { SemanticsMode::Grohe };
+        let engine = Engine::from_source(&src, mode)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{src}")))?;
+        let evidence = format!("L{}(0).", layers.len());
+        for variant in [
+            ChaseVariant::Sequential(PolicyKind::Canonical),
+            ChaseVariant::Sequential(PolicyKind::RoundRobin),
+            ChaseVariant::Sequential(PolicyKind::Random { seed }),
+            ChaseVariant::Parallel,
+            ChaseVariant::Saturating,
+        ] {
+            for given in [None, Some(evidence.as_str())] {
+                let stream = |batch: usize, threads: usize| {
+                    let mut sink = RecordingSink::default();
+                    let eval = engine
+                        .eval()
+                        .sample(64 * 6)
+                        .seed(seed)
+                        .variant(variant)
+                        .batch(batch)
+                        .threads(threads);
+                    let eval = match given {
+                        Some(text) => eval.given(text),
+                        None => eval,
+                    };
+                    eval.collect_into(&mut sink)
+                        .map(|_| sink.obs)
+                        .map_err(|e| e.to_string())
+                };
+                let reference = stream(1, 1);
+                for threads in [1, 2] {
+                    prop_assert!(
+                        stream(64, threads) == reference,
+                        "{:?} given {:?}: batch 64 × {} threads diverged on\n{}",
+                        variant, given, threads, src
                     );
                 }
             }
