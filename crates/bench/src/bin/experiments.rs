@@ -1,20 +1,14 @@
 //! The experiment harness: regenerates every quantitative claim of the
-//! paper (experiments E1–E8 of DESIGN.md) and prints paper-expected vs
-//! measured values. `cargo run --release -p gdatalog-bench --bin
-//! experiments [e1 e2 …]` — no arguments runs everything.
+//! paper (experiments E1–E8) and prints paper-expected vs measured
+//! values. `cargo run --release -p gdatalog-bench --bin experiments
+//! [e1 e2 …]` — no arguments runs all eight.
 //!
-//! `cargo run --release -p gdatalog-bench --bin experiments bench`
-//! additionally runs the perf-trajectory suite and writes
-//! `target/bench/BENCH_PR1.json` (per-bench median nanoseconds plus incremental-vs-
-//! rebuild speedups) so later PRs can track the performance curve
-//! machine-readably.
-//!
-//! The output of this binary is the source of EXPERIMENTS.md.
+//! Performance is measured elsewhere: the workload corpus in
+//! `benchmark/` (see `benchmark/README.md`) and the criterion suites in
+//! `crates/bench/benches/`.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use gdatalog_bench::report::{check_trend, Report};
 use gdatalog_bench::{burglary_program, geometric_chain, heights_program, normal_chain};
 use gdatalog_core::engine::Engine;
 use gdatalog_core::{
@@ -562,1320 +556,10 @@ fn e8() {
     }
 }
 
-/// Median wall-clock nanoseconds of `f` over `samples` timed calls (after
-/// one warm-up call).
-fn median_ns(samples: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut times: Vec<f64> = (0..samples.max(1))
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as f64
-        })
-        .collect();
-    times.sort_by(|a, b| a.total_cmp(b));
-    let n = times.len();
-    if n % 2 == 1 {
-        times[n / 2]
-    } else {
-        0.5 * (times[n / 2 - 1] + times[n / 2])
-    }
-}
-
-/// The perf-trajectory suite behind `BENCH_PR1.json`: the Datalog
-/// substrate (transitive closure, naive vs rebuild-per-round semi-naive vs
-/// incremental semi-naive) and the chase (rebuild-per-step saturating
-/// baseline vs incremental saturating, plus sequential/parallel MC), with
-/// per-bench median ns and the incremental-vs-rebuild speedups.
-fn bench_pr1() {
-    use gdatalog_core::run_saturating;
-    use gdatalog_core::saturate::run_saturating_rebuild_baseline;
-    use gdatalog_data::{tuple, Instance, RelId};
-    use gdatalog_datalog::{
-        fixpoint_naive, fixpoint_seminaive, fixpoint_seminaive_rebuild, Atom, DatalogProgram,
-        DatalogRule, Term,
-    };
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    header(
-        "BENCH",
-        "perf trajectory (written to target/bench/BENCH_PR1.json)",
-    );
-
-    // Transitive closure over a chain: T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).
-    let tc = DatalogProgram::new(vec![
-        DatalogRule::new(
-            Atom::new(RelId(1), vec![Term::Var(0), Term::Var(1)]),
-            vec![Atom::new(RelId(0), vec![Term::Var(0), Term::Var(1)])],
-            2,
-        )
-        .expect("safe"),
-        DatalogRule::new(
-            Atom::new(RelId(1), vec![Term::Var(0), Term::Var(2)]),
-            vec![
-                Atom::new(RelId(1), vec![Term::Var(0), Term::Var(1)]),
-                Atom::new(RelId(0), vec![Term::Var(1), Term::Var(2)]),
-            ],
-            3,
-        )
-        .expect("safe"),
-    ]);
-    let chain = |n: i64| -> Instance {
-        let mut d = Instance::new();
-        for i in 0..n {
-            d.insert(RelId(0), tuple![i, i + 1]);
-        }
-        d
-    };
-
-    let mut results: Vec<(String, f64)> = Vec::new();
-    let mut push = |name: &str, ns: f64| {
-        println!("  {name:<44} {ns:>14.0} ns");
-        results.push((name.to_string(), ns));
-    };
-
-    for n in [32i64, 128] {
-        let input = chain(n);
-        push(
-            &format!("datalog_tc/naive/{n}"),
-            median_ns(5, || {
-                std::hint::black_box(fixpoint_naive(&tc, &input));
-            }),
-        );
-        push(
-            &format!("datalog_tc/seminaive_seed/{n}"),
-            median_ns(7, || {
-                std::hint::black_box(gdatalog_bench::legacy::fixpoint_seminaive_seed(&tc, &input));
-            }),
-        );
-        push(
-            &format!("datalog_tc/seminaive_rebuild/{n}"),
-            median_ns(7, || {
-                std::hint::black_box(fixpoint_seminaive_rebuild(&tc, &input));
-            }),
-        );
-        push(
-            &format!("datalog_tc/seminaive/{n}"),
-            median_ns(7, || {
-                std::hint::black_box(fixpoint_seminaive(&tc, &input));
-            }),
-        );
-    }
-
-    // Chase benches on the burglary network (Ex. 3.4).
-    let engine = Engine::from_source(&burglary_program(8), SemanticsMode::Grohe).expect("ok");
-    let program = engine.program();
-    push(
-        "chase/saturating_rebuild/8houses",
-        median_ns(5, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            for _ in 0..10 {
-                std::hint::black_box(
-                    run_saturating_rebuild_baseline(
-                        program,
-                        &program.initial_instance,
-                        &mut rng,
-                        100_000,
-                    )
-                    .expect("runs"),
-                );
-            }
-        }),
-    );
-    push(
-        "chase/saturating/8houses",
-        median_ns(5, || {
-            let mut rng = StdRng::seed_from_u64(1);
-            for _ in 0..10 {
-                std::hint::black_box(
-                    run_saturating(program, &program.initial_instance, &mut rng, 100_000, false)
-                        .expect("runs"),
-                );
-            }
-        }),
-    );
-    for (label, variant) in [
-        (
-            "sequential",
-            ChaseVariant::Sequential(PolicyKind::Canonical),
-        ),
-        ("parallel", ChaseVariant::Parallel),
-        ("saturating", ChaseVariant::Saturating),
-    ] {
-        push(
-            &format!("chase_mc/{label}/8houses"),
-            median_ns(5, || {
-                std::hint::black_box(
-                    engine
-                        .eval()
-                        .sample(50)
-                        .max_depth(100_000)
-                        .seed(1)
-                        .variant(variant)
-                        .pdb()
-                        .expect("runs"),
-                );
-            }),
-        );
-    }
-
-    let lookup = |name: &str| -> f64 {
-        results
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, ns)| *ns)
-            .expect("recorded bench")
-    };
-    let speedups = [
-        (
-            "datalog_tc/seminaive/128 vs seed",
-            lookup("datalog_tc/seminaive_seed/128") / lookup("datalog_tc/seminaive/128"),
-        ),
-        (
-            "datalog_tc/seminaive/128 vs rebuild",
-            lookup("datalog_tc/seminaive_rebuild/128") / lookup("datalog_tc/seminaive/128"),
-        ),
-        (
-            "datalog_tc/seminaive/128 vs naive",
-            lookup("datalog_tc/naive/128") / lookup("datalog_tc/seminaive/128"),
-        ),
-        (
-            "chase/saturating vs rebuild",
-            lookup("chase/saturating_rebuild/8houses") / lookup("chase/saturating/8houses"),
-        ),
-    ];
-    println!();
-    for (name, x) in &speedups {
-        println!("  speedup {name:<38} {x:>10.2}x");
-    }
-
-    let mut report = Report::new(1, "perf_trajectory");
-    for (name, ns) in &results {
-        report.metric(&format!("{name}/median_ns"), ns.round());
-    }
-    for (name, x) in &speedups {
-        report.metric(&format!("speedup/{name}"), *x);
-    }
-    report.write("BENCH_PR1.json");
-}
-
-/// Resident set size in KiB (Linux), or 0 where unavailable.
-fn rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmRSS:"))
-                .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
-        })
-        .unwrap_or(0)
-}
-
-/// The PR2 suite behind `BENCH_PR2.json`: streaming Monte-Carlo through
-/// the Session/Evaluation API. A 1M-run marginal folds run-by-run into an
-/// O(result) sink (single- and multi-threaded), compared against the PR1
-/// baseline that materializes every sampled instance into an
-/// `EmpiricalPdb` (run at 100k and extrapolated to 1M for the memory
-/// ratio).
-fn bench_pr2() {
-    use gdatalog_core::Session;
-    use gdatalog_data::tuple;
-    use std::time::Instant;
-
-    header(
-        "BENCH2",
-        "streaming Monte-Carlo (written to target/bench/BENCH_PR2.json)",
-    );
-
-    let session = Session::from_source("R(Flip<0.5>) :- true. S(X) :- R(X).", SemanticsMode::Grohe)
-        .expect("ok");
-    let r = session.program().catalog.require("R").expect("declared");
-    let fact = Fact::new(r, tuple![1i64]);
-
-    const STREAM_RUNS: usize = 1_000_000;
-    const MAT_RUNS: usize = 100_000;
-
-    // 1M-run streaming marginal: no per-run instance survives the fold.
-    let rss_before = rss_kb();
-    let t = Instant::now();
-    let p1 = session
-        .eval()
-        .sample(STREAM_RUNS)
-        .seed(7)
-        .marginal(&fact)
-        .expect("runs");
-    let stream_ns = t.elapsed().as_nanos() as f64;
-    let stream_rss_kb = rss_kb().saturating_sub(rss_before);
-
-    let t = Instant::now();
-    let p4 = session
-        .eval()
-        .sample(STREAM_RUNS)
-        .seed(7)
-        .threads(4)
-        .marginal(&fact)
-        .expect("runs");
-    let stream4_ns = t.elapsed().as_nanos() as f64;
-    assert!((p1 - p4).abs() < 1e-9, "deterministic across threads");
-    assert!((p1 - 0.5).abs() < 0.01, "P(R(1)) ≈ 1/2");
-
-    // PR1 baseline: materialize every sampled instance (at 100k runs;
-    // memory extrapolated ×10 for the 1M comparison).
-    let rss_before = rss_kb();
-    let t = Instant::now();
-    let pdb = session.eval().sample(MAT_RUNS).seed(7).pdb().expect("runs");
-    let mat_ns = t.elapsed().as_nanos() as f64;
-    let mat_rss_kb = rss_kb().saturating_sub(rss_before);
-    let retained = pdb.samples().len();
-    assert!((pdb.marginal(&fact) - p1).abs() < 0.01);
-    drop(pdb);
-
-    let stream_rate = STREAM_RUNS as f64 / (stream_ns / 1e9);
-    let stream4_rate = STREAM_RUNS as f64 / (stream4_ns / 1e9);
-    let mat_rate = MAT_RUNS as f64 / (mat_ns / 1e9);
-    println!(
-        "  {:<44} {:>14.0} runs/s",
-        "mc_stream/marginal/1thread", stream_rate
-    );
-    println!(
-        "  {:<44} {:>14.0} runs/s",
-        "mc_stream/marginal/4threads", stream4_rate
-    );
-    println!(
-        "  {:<44} {:>14.0} runs/s",
-        "mc_materialize/pdb/1thread", mat_rate
-    );
-    println!(
-        "  streaming retained ~{stream_rss_kb} KiB over {STREAM_RUNS} runs; \
-         materializing retained ~{mat_rss_kb} KiB over {retained} instances"
-    );
-
-    let mut report = Report::new(2, "mc_streaming");
-    report
-        .metric(
-            "mc_stream/marginal/1M/1thread/runs_per_s",
-            stream_rate.round(),
-        )
-        .metric(
-            "mc_stream/marginal/1M/1thread/rss_delta_kb",
-            stream_rss_kb as f64,
-        )
-        .metric(
-            "mc_stream/marginal/1M/4threads/runs_per_s",
-            stream4_rate.round(),
-        )
-        .metric(
-            "mc_materialize/pdb/100k/1thread/runs_per_s",
-            mat_rate.round(),
-        )
-        .metric(
-            "mc_materialize/pdb/100k/1thread/rss_delta_kb",
-            mat_rss_kb as f64,
-        )
-        .metric("mc_materialize/retained_instances", retained as f64)
-        .metric(
-            "memory_ratio_1m_extrapolated",
-            (mat_rss_kb.max(1) * 10) as f64 / stream_rss_kb.max(1) as f64,
-        )
-        .metric("marginal", p1)
-        .gate("deterministic_across_threads", (p1 - p4).abs() < 1e-9)
-        .gate("marginal_near_half", (p1 - 0.5).abs() < 0.01);
-    report.write("BENCH_PR2.json");
-}
-
-/// The PR3 suite behind `BENCH_PR3.json`: the serving layer. A
-/// 100-request batch of mixed queries (marginal / probability /
-/// expectation / histogram, each with its own evidence) against **one**
-/// model is answered two ways — naive per-request compile+plan+evaluate
-/// (the pre-PR3 workflow of every caller) and through the cached, pooled,
-/// batched `Server` — with bit-identity asserted between the batch, the
-/// single-request path, and a fresh uncached session before any timing is
-/// reported. A seeded Monte-Carlo sub-batch extends the identity check to
-/// the sampling backend.
-fn bench_pr3() {
-    use gdatalog_bench::serving_library_program;
-    use gdatalog_core::Session;
-    use gdatalog_serve::{execute_on, ProgramCache, Reply, Request, Server};
-
-    header(
-        "BENCH3",
-        "serving layer (written to target/bench/BENCH_PR3.json)",
-    );
-
-    let model_src = serving_library_program(16);
-    const BATCH: usize = 100;
-
-    // Mixed exact workload: the four query kinds round-robin, evidence
-    // differing per request.
-    let requests: Vec<Request> = (0..BATCH)
-        .map(|i| {
-            let d = i % 16;
-            let evidence = format!("In{d}(c{i}, 0.{}).", 1 + i % 8);
-            match i % 4 {
-                0 => Request::marginal(format!("Out{d}(c{i})")),
-                1 => Request::probability(format!("Out{d}(c{i})")),
-                2 => Request::expectation(format!("Out{d}"), gdatalog_pdb::AggFun::Count),
-                _ => Request::histogram(format!("Ev{d}"), 1, 0.0, 2.0, 2),
-            }
-            .evidence(evidence)
-            .exact()
-        })
-        .collect();
-
-    // Naive baseline: compile + plan + evaluate per request (every
-    // session is fresh, so nothing is amortized).
-    let naive = |reqs: &[Request]| -> Vec<Reply> {
-        reqs.iter()
-            .map(|req| {
-                let mut session =
-                    Session::from_source(&model_src, SemanticsMode::Grohe).expect("compiles");
-                execute_on(&mut session, req).expect("request succeeds")
-            })
-            .collect()
-    };
-
-    let unwrap = |answers: Vec<Result<Reply, gdatalog_serve::ServeError>>| {
-        answers
-            .into_iter()
-            .map(|a| a.expect("request succeeds"))
-            .collect::<Vec<Reply>>()
-    };
-
-    let cache = ProgramCache::new();
-    let model = cache
-        .get_or_compile(&model_src, SemanticsMode::Grohe)
-        .expect("compiles");
-    let server1 = Server::new(Arc::clone(&model));
-    let server4 = Server::new(Arc::clone(&model)).threads(4);
-
-    // Bit-identity first: batch == sequential single-request == naive
-    // uncached, response by response (Response equality is exact f64
-    // equality). A seeded MC sub-batch covers the sampling backend.
-    let reference = naive(&requests);
-    let singles = unwrap(
-        requests
-            .iter()
-            .map(|r| server1.execute(r))
-            .collect::<Vec<_>>(),
-    );
-    let seq = unwrap(server1.batch(&requests));
-    let par = unwrap(server4.batch(&requests));
-    for i in 0..BATCH {
-        assert_eq!(reference[i], singles[i], "single-request differs at {i}");
-        assert_eq!(reference[i], seq[i], "sequential batch differs at {i}");
-        assert_eq!(reference[i], par[i], "parallel batch differs at {i}");
-    }
-    let mc_batch: Vec<Request> = (0..8)
-        .map(|i| {
-            Request::marginal(format!("Out0(m{i})"))
-                .evidence(format!("In0(m{i}, 0.4)."))
-                .mc(2_000)
-                .seed(i as u64)
-        })
-        .collect();
-    assert_eq!(
-        unwrap(server4.batch(&mc_batch)),
-        naive(&mc_batch),
-        "seeded Monte-Carlo batch must be bit-identical too"
-    );
-    println!("  bit-identity: naive == single-request == batch(1) == batch(4)  ✓ (exact + MC)");
-
-    let naive_ns = median_ns(5, || {
-        std::hint::black_box(naive(&requests));
-    });
-    let seq_ns = median_ns(5, || {
-        std::hint::black_box(server1.batch(&requests));
-    });
-    let par_ns = median_ns(5, || {
-        std::hint::black_box(server4.batch(&requests));
-    });
-
-    let rate = |ns: f64| BATCH as f64 / (ns / 1e9);
-    let speedup_seq = naive_ns / seq_ns;
-    let speedup_par = naive_ns / par_ns;
-    println!(
-        "  {:<44} {:>14.0} req/s",
-        "naive compile-per-request",
-        rate(naive_ns)
-    );
-    println!(
-        "  {:<44} {:>14.0} req/s   ({speedup_seq:.1}x)",
-        "cached+pooled batch, 1 worker",
-        rate(seq_ns)
-    );
-    println!(
-        "  {:<44} {:>14.0} req/s   ({speedup_par:.1}x)",
-        "cached+pooled batch, 4 workers",
-        rate(par_ns)
-    );
-    let stats = cache.stats();
-    println!(
-        "  cache: {} hit(s), {} miss(es); pool sessions created: {} (seq) / {} (par)",
-        stats.hits,
-        stats.misses,
-        server1.pool().created(),
-        server4.pool().created()
-    );
-    // Acceptance gate: ≥5x throughput for the served batch vs naive
-    // per-request compile+evaluate (worker count per available
-    // parallelism; on a single-core runner the two batch rows coincide).
-    let best = speedup_seq.max(speedup_par);
-    assert!(
-        best >= 5.0,
-        "acceptance: ≥5x throughput for the batched path (got {best:.1}x)"
-    );
-
-    let mut report = Report::new(3, "serving");
-    report
-        .metric("batch_requests", BATCH as f64)
-        .metric(
-            "serving/naive_compile_per_request/median_ns",
-            naive_ns.round(),
-        )
-        .metric(
-            "serving/naive_compile_per_request/req_per_s",
-            rate(naive_ns).round(),
-        )
-        .metric("serving/batch_1worker/median_ns", seq_ns.round())
-        .metric("serving/batch_1worker/req_per_s", rate(seq_ns).round())
-        .metric("serving/batch_4workers/median_ns", par_ns.round())
-        .metric("serving/batch_4workers/req_per_s", rate(par_ns).round())
-        .metric("speedup/batch_1worker_vs_naive", speedup_seq)
-        .metric("speedup/batch_4workers_vs_naive", speedup_par)
-        .gate("bit_identical_to_sequential", true)
-        .gate("best_speedup_ge_5x", best >= 5.0);
-    report.write("BENCH_PR3.json");
-}
-
-/// The PR5 suite behind `BENCH_PR5.json`: single-pass multi-query
-/// execution. A dashboard-style client asks K = 8 statistics about one
-/// program + input; the pre-PR5 workflow sends 8 single-query requests
-/// (8 backend passes), the Query-IR workflow sends 1 request with a
-/// `"queries"` array (1 backend pass fanned out to 8 sinks).
-/// Bit-identity between the two is asserted before any timing, and the
-/// acceptance gate is ≥4x throughput at K = 8.
-fn bench_pr5() {
-    use gdatalog_bench::serving_library_program;
-    use gdatalog_serve::{QueryKind, Reply, Request, Server};
-
-    header(
-        "BENCH5",
-        "multi-query single pass (written to target/bench/BENCH_PR5.json)",
-    );
-
-    const K: usize = 8;
-    let model_src = serving_library_program(16);
-    let input: String = (0..K)
-        .map(|d| format!("In{d}(c{d}, 0.3). "))
-        .collect::<String>();
-    let kinds: Vec<QueryKind> = (0..K)
-        .map(|d| match d % 4 {
-            0 => QueryKind::Marginal {
-                fact: format!("Out{d}(c{d})"),
-            },
-            1 => QueryKind::Marginals {
-                rel: format!("Out{d}"),
-            },
-            2 => QueryKind::Expectation {
-                rel: format!("Out{d}"),
-                agg: gdatalog_pdb::AggFun::Count,
-                col: None,
-            },
-            _ => QueryKind::Histogram {
-                rel: format!("Ev{d}"),
-                col: 1,
-                lo: 0.0,
-                hi: 2.0,
-                bins: 2,
-            },
-        })
-        .collect();
-
-    let configure = |req: Request, mc: bool| {
-        let req = req.input(input.clone());
-        if mc {
-            req.mc(2_000).seed(7)
-        } else {
-            req.exact()
-        }
-    };
-    let server = Server::from_source(&model_src, SemanticsMode::Grohe).expect("compiles");
-
-    let mut results = Vec::new();
-    for (label, mc) in [("exact", false), ("mc2000", true)] {
-        let multi = configure(Request::multi(kinds.clone()), mc);
-        let singles: Vec<Request> = kinds
-            .iter()
-            .map(|kind| configure(Request::multi(vec![kind.clone()]), mc))
-            .collect();
-
-        // Bit-identity first: the multiplexed answers must equal the K
-        // independent single-query answers, response by response
-        // (Response equality is exact f64 equality).
-        let reply = server.execute(&multi).expect("multi request succeeds");
-        assert_eq!(reply.responses.len(), K);
-        for (i, single) in singles.iter().enumerate() {
-            let expect = server.execute(single).expect("single request succeeds");
-            assert_eq!(
-                &reply.responses[i],
-                expect.single(),
-                "{label}: slot {i} differs"
-            );
-        }
-
-        let one_pass_ns = median_ns(9, || {
-            std::hint::black_box(server.execute(&multi).expect("ok"));
-        });
-        let k_passes_ns = median_ns(9, || {
-            let replies: Vec<Reply> = singles
-                .iter()
-                .map(|r| server.execute(r).expect("ok"))
-                .collect();
-            std::hint::black_box(replies);
-        });
-        let speedup = k_passes_ns / one_pass_ns;
-        println!(
-            "  {label:<10} {K} queries: one pass {one_pass_ns:>12.0} ns, \
-             {K} passes {k_passes_ns:>12.0} ns   ({speedup:.1}x)"
-        );
-        results.push((label, one_pass_ns, k_passes_ns, speedup));
-    }
-    println!("  bit-identity: multi-query reply == K single-query replies  ✓ (exact + MC)");
-
-    // Acceptance gate: ≥4x throughput at K = 8 for the multiplexed pass,
-    // in EVERY mode — gating on the best would let a mode-specific
-    // regression (say, the MC fan-out path) slip through while exact
-    // keeps CI green.
-    for (label, _, _, speedup) in &results {
-        assert!(
-            *speedup >= 4.0,
-            "acceptance: >=4x throughput at K = {K} for {label} (got {speedup:.1}x)"
-        );
-    }
-
-    let mut report = Report::new(5, "multi_query");
-    report.metric("queries_per_request", K as f64);
-    for (label, one, k, speedup) in &results {
-        report
-            .metric(
-                &format!("multi_query/{label}/one_pass_median_ns"),
-                one.round(),
-            )
-            .metric(
-                &format!("multi_query/{label}/repeated_single_query_median_ns"),
-                k.round(),
-            )
-            .gate_ratio(&format!("multi_query/{label}/speedup"), *speedup, 4.0);
-    }
-    report.gate("bit_identical_to_single_query_requests", true);
-    report.write("BENCH_PR5.json");
-}
-
-/// The PR7 suite behind `BENCH_PR7.json`: the HTTP serving subsystem.
-/// Two measurements, bit-identity asserted **before** any timing:
-///
-/// 1. **Batch scheduling** — a 64-request corpus with deliberately
-///    skewed per-request cost (Monte-Carlo run counts varying 4x) is
-///    answered at 1 and 4 workers. Work stealing must never lose to a
-///    single worker (0.9x floor, asserted everywhere); on a machine
-///    with ≥ 4 cores it must win ≥ 2.5x (the ISSUE 7 acceptance gate —
-///    meaningless on fewer cores, so gated on `available_parallelism`,
-///    with the core count recorded in the JSON).
-/// 2. **The wire** — an in-process `HttpServer` takes a closed-loop
-///    loadgen burst; every reply must be 2xx, and req/s + exact
-///    p50/p99 land in the JSON next to the server's own bucketed view.
-fn bench_pr7() {
-    use gdatalog_bench::serving_library_program;
-    use gdatalog_net::{self as net, HttpServer, LoadgenConfig, NetConfig};
-    use gdatalog_serve::{ProgramCache, Reply, Request, Server};
-
-    header(
-        "BENCH7",
-        "HTTP serving subsystem (written to target/bench/BENCH_PR7.json)",
-    );
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let model_src = serving_library_program(16);
-    const BATCH: usize = 64;
-
-    // Skewed corpus: run counts vary 4x so contiguous-chunk scheduling
-    // would tail on whichever chunk drew the heavy requests.
-    let requests: Vec<Request> = (0..BATCH)
-        .map(|i| {
-            let d = i % 16;
-            Request::marginal(format!("Out{d}(c{i})"))
-                .input(format!("In{d}(c{i}, 0.{}).", 1 + i % 8))
-                .mc(500 + 500 * (i % 4))
-                .seed(i as u64)
-        })
-        .collect();
-
-    let cache = ProgramCache::new();
-    let model = cache
-        .get_or_compile(&model_src, SemanticsMode::Grohe)
-        .expect("compiles");
-    let server1 = Server::new(Arc::clone(&model));
-    let server4 = Server::new(Arc::clone(&model)).threads(4);
-
-    // Bit-identity before timing: the work-stealing batch at 4 workers
-    // must equal the 1-worker batch must equal one-at-a-time execution.
-    let unwrap = |answers: Vec<Result<Reply, gdatalog_serve::ServeError>>| {
-        answers
-            .into_iter()
-            .map(|a| a.expect("request succeeds"))
-            .collect::<Vec<Reply>>()
-    };
-    let singles = unwrap(
-        requests
-            .iter()
-            .map(|r| server1.execute(r))
-            .collect::<Vec<_>>(),
-    );
-    let seq = unwrap(server1.batch(&requests));
-    let par = unwrap(server4.batch(&requests));
-    for i in 0..BATCH {
-        assert_eq!(singles[i], seq[i], "1-worker batch differs at {i}");
-        assert_eq!(singles[i], par[i], "4-worker batch differs at {i}");
-    }
-    println!("  bit-identity: singles == batch(1) == batch(4)  ✓ (seeded MC, skewed costs)");
-
-    let t1_ns = median_ns(5, || {
-        std::hint::black_box(server1.batch(&requests));
-    });
-    let t4_ns = median_ns(5, || {
-        std::hint::black_box(server4.batch(&requests));
-    });
-    let rate = |ns: f64| BATCH as f64 / (ns / 1e9);
-    let ratio = t1_ns / t4_ns; // >1 means 4 workers are faster
-    println!("  {:<44} {:>14.0} req/s", "batch, 1 worker", rate(t1_ns));
-    println!(
-        "  {:<44} {:>14.0} req/s   ({ratio:.2}x, {cores} core(s))",
-        "batch, 4 workers",
-        rate(t4_ns)
-    );
-    assert!(
-        ratio >= 0.9,
-        "acceptance: 4 workers must never regress below 0.9x of 1 worker \
-         (got {ratio:.3}x)"
-    );
-    if cores >= 4 {
-        assert!(
-            ratio >= 2.5,
-            "acceptance: ≥2.5x batch throughput at 4 workers on a {cores}-core \
-             machine (got {ratio:.2}x)"
-        );
-    } else {
-        println!(
-            "  (2.5x multi-core gate skipped: {cores} core(s) available; \
-             the 0.9x no-regression floor was enforced)"
-        );
-    }
-
-    // The wire: an in-process server takes a closed-loop burst.
-    let http_workers = cores.clamp(1, 4);
-    let server = HttpServer::start_cached(
-        Arc::new(ProgramCache::new()),
-        &model_src,
-        SemanticsMode::Grohe,
-        "127.0.0.1:0",
-        NetConfig {
-            workers: http_workers,
-            ..NetConfig::default()
-        },
-    )
-    .expect("server starts");
-    let bodies: Vec<String> = (0..16)
-        .map(|i| {
-            let d = i % 16;
-            format!(
-                "{{\"kind\":\"marginal\",\"fact\":\"Out{d}(w{i})\",\
-                 \"input\":\"In{d}(w{i}, 0.4).\",\"backend\":\"exact\"}}"
-            )
-        })
-        .collect();
-    let report = net::run_loadgen(
-        &bodies,
-        &LoadgenConfig {
-            addr: server.addr().to_string(),
-            connections: http_workers,
-            duration: std::time::Duration::from_millis(1_500),
-            ..LoadgenConfig::default()
-        },
-    );
-    assert!(report.sent > 0, "loadgen drove traffic: {report:?}");
-    assert_eq!(report.io_errors, 0, "no transport failures: {report:?}");
-    assert_eq!(
-        report.non_2xx, 0,
-        "every reply of the burst must be 2xx: {report:?}"
-    );
-    let metrics = server.metrics();
-    assert_eq!(metrics.requests, report.ok_2xx);
-    server.shutdown();
-    server.join();
-    println!(
-        "  {:<44} {:>14.0} req/s   (p50 {} µs, p99 {} µs, {} conn(s))",
-        "HTTP serve + loadgen, all 2xx",
-        report.req_per_sec,
-        report.p50_us,
-        report.p99_us,
-        http_workers
-    );
-
-    let mut out = Report::new(7, "http_serving");
-    out.metric("cores", cores as f64)
-        .metric("batch_requests", BATCH as f64)
-        .metric("net/batch_1worker/median_ns", t1_ns.round())
-        .metric("net/batch_1worker/req_per_s", rate(t1_ns).round())
-        .metric("net/batch_4workers/median_ns", t4_ns.round())
-        .metric("net/batch_4workers/req_per_s", rate(t4_ns).round())
-        .metric("net/http_loadgen/req_per_s", report.req_per_sec.round())
-        .metric("net/http_loadgen/p50_us", report.p50_us as f64)
-        .metric("net/http_loadgen/p99_us", report.p99_us as f64)
-        .metric("net/http_loadgen/connections", http_workers as f64)
-        .metric("net/http_loadgen/sent", report.sent as f64)
-        .metric("net/http_loadgen/ok_2xx", report.ok_2xx as f64)
-        .metric("speedup/batch_4workers_vs_1worker", ratio)
-        .gate("no_regression_floor_0.9x", ratio >= 0.9)
-        .gate("multi_core_2.5x", cores < 4 || ratio >= 2.5)
-        .gate(
-            "loadgen_all_2xx",
-            report.non_2xx == 0 && report.io_errors == 0,
-        )
-        .gate("bit_identical_to_sequential", true);
-    out.write("BENCH_PR7.json");
-}
-
-/// The PR8 suite behind `BENCH_PR8.json`: posterior inference under
-/// sharp evidence. One conditioned model — a rare cause behind a noisy
-/// detector — is answered three ways:
-///
-/// 1. **Fixed-budget likelihood weighting** (`sample(N)`): hard
-///    evidence kills ~94% of prior runs, so the achieved ESS is a small
-///    fraction of the budget.
-/// 2. **ESS-adaptive sampling** (`sample_until`): states the quality
-///    target directly; the driver grows runs in doubling batches until
-///    the achieved ESS reaches it.
-/// 3. **Metropolis-Hastings** (`mh(kept)`): every kept state carries
-///    equal weight, so the nominal ESS equals the kept-state count.
-///
-/// Correctness against exact enumeration is asserted **before** any
-/// timing (generous z-tolerance — this is a smoke gate, not the
-/// statistical harness; `tests/inference_backends.rs` is the tight
-/// one), and the adaptive run must actually reach its target.
-fn bench_pr8() {
-    use gdatalog_core::{EssTarget, Session};
-
-    header(
-        "BENCH8",
-        "posterior inference backends (written to target/bench/BENCH_PR8.json)",
-    );
-
-    // P(Quake) = 0.02; the detector fires at 0.7 given a quake and
-    // 0.05 otherwise. Posterior P(Quake | Alarm) = 14/63 ≈ 0.2222,
-    // evidence mass P(Alarm) = 0.063.
-    let session = Session::from_source(
-        "Quake(Flip<0.02>) :- true.
-         Trig(Flip<0.7>) :- Quake(1).
-         Trig(Flip<0.05>) :- Quake(0).
-         Alarm() :- Trig(1).",
-        SemanticsMode::Grohe,
-    )
-    .expect("model compiles");
-    let quake = session.program().catalog.require("Quake").expect("Quake");
-    let fact = Fact::new(quake, Tuple::from(vec![Value::int(1)]));
-    let queries = gdatalog_core::QuerySet::new().marginal(&fact);
-    const GIVEN: &str = "Alarm().";
-    const LW_RUNS: usize = 40_000;
-    const ESS_TARGET: f64 = 2_000.0;
-    const MH_KEPT: usize = 20_000;
-
-    let exact = session
-        .eval()
-        .exact()
-        .given(GIVEN)
-        .marginal(&fact)
-        .expect("exact posterior");
-
-    let check = |label: &str, p: f64, n_eff: f64| {
-        let se = (exact * (1.0 - exact) / n_eff.max(1.0)).sqrt();
-        let tol = 6.0 * se + 1e-3;
-        assert!(
-            (p - exact).abs() <= tol,
-            "{label}: estimate {p} vs exact {exact} exceeds {tol}"
-        );
-    };
-
-    // Correctness + achieved statistics first (timing never gates it).
-    let lw = session
-        .eval()
-        .sample(LW_RUNS)
-        .seed(0x8EED)
-        .given(GIVEN)
-        .answer(&queries)
-        .expect("lw answers");
-    let lw_p = lw.get(0).expect("answer").as_probability().expect("p");
-    let lw_ev = lw.evidence();
-    check("lw_fixed", lw_p, lw_ev.ess);
-
-    let adaptive = session
-        .eval()
-        .sample_until(EssTarget::new(ESS_TARGET).max_runs(1 << 18))
-        .seed(0x8EED)
-        .given(GIVEN)
-        .answer(&queries)
-        .expect("adaptive answers");
-    let ad_p = adaptive
-        .get(0)
-        .expect("answer")
-        .as_probability()
-        .expect("p");
-    let ad_ev = adaptive.evidence();
-    assert!(
-        ad_ev.ess >= ESS_TARGET,
-        "acceptance: adaptive run reaches its ESS target \
-         (achieved {:.1} < {ESS_TARGET})",
-        ad_ev.ess
-    );
-    check("ess_adaptive", ad_p, ad_ev.ess);
-
-    let mh = session
-        .eval()
-        .mh(MH_KEPT)
-        .burn_in(1_000)
-        .seed(0xC0DE)
-        .given(GIVEN)
-        .answer(&queries)
-        .expect("mh answers");
-    let mh_p = mh.get(0).expect("answer").as_probability().expect("p");
-    let mh_ev = mh.evidence();
-    let mh_accept = mh_ev.accept_rate.expect("mh reports acceptance");
-    // Chain autocorrelation discount, matching the statistical harness.
-    check("mh", mh_p, MH_KEPT as f64 / 20.0);
-
-    let lw_ns = median_ns(5, || {
-        std::hint::black_box(
-            session
-                .eval()
-                .sample(LW_RUNS)
-                .seed(0x8EED)
-                .given(GIVEN)
-                .answer(&queries)
-                .expect("ok"),
-        );
-    });
-    let ad_ns = median_ns(5, || {
-        std::hint::black_box(
-            session
-                .eval()
-                .sample_until(EssTarget::new(ESS_TARGET).max_runs(1 << 18))
-                .seed(0x8EED)
-                .given(GIVEN)
-                .answer(&queries)
-                .expect("ok"),
-        );
-    });
-    let mh_ns = median_ns(5, || {
-        std::hint::black_box(
-            session
-                .eval()
-                .mh(MH_KEPT)
-                .burn_in(1_000)
-                .seed(0xC0DE)
-                .given(GIVEN)
-                .answer(&queries)
-                .expect("ok"),
-        );
-    });
-
-    println!("  exact posterior P(Quake | Alarm) = {exact:.6}");
-    println!(
-        "  {:<26} {:>12.0} ns   ess {:>8.1} / {:>6} runs   p = {:.4}",
-        "lw_fixed(40k)", lw_ns, lw_ev.ess, lw_ev.runs, lw_p
-    );
-    println!(
-        "  {:<26} {:>12.0} ns   ess {:>8.1} / {:>6} runs   p = {:.4}",
-        "ess_adaptive(target 2k)", ad_ns, ad_ev.ess, ad_ev.runs, ad_p
-    );
-    println!(
-        "  {:<26} {:>12.0} ns   ess {:>8.1} / {:>6} kept   p = {:.4}   accept {:.3}",
-        "mh(20k kept)", mh_ns, mh_ev.ess, mh_ev.runs, mh_p, mh_accept
-    );
-
-    let mut report = Report::new(8, "inference");
-    report
-        .metric("exact_posterior", exact)
-        .metric("inference/lw_fixed/median_ns", lw_ns.round())
-        .metric("inference/lw_fixed/runs", lw_ev.runs as f64)
-        .metric("inference/lw_fixed/ess", lw_ev.ess)
-        .metric("inference/lw_fixed/estimate", lw_p)
-        .metric("inference/ess_adaptive/median_ns", ad_ns.round())
-        .metric("inference/ess_adaptive/runs", ad_ev.runs as f64)
-        .metric("inference/ess_adaptive/ess", ad_ev.ess)
-        .metric("inference/ess_adaptive/ess_target", ESS_TARGET)
-        .metric("inference/ess_adaptive/estimate", ad_p)
-        .metric("inference/mh/median_ns", mh_ns.round())
-        .metric("inference/mh/kept", mh_ev.runs as f64)
-        .metric("inference/mh/accept_rate", mh_accept)
-        .metric("inference/mh/estimate", mh_p)
-        .gate("adaptive_reached_ess_target", ad_ev.ess >= ESS_TARGET)
-        .gate("all_backends_within_tolerance_of_exact", true);
-    report.write("BENCH_PR8.json");
-}
-
-/// The PR9 suite behind `BENCH_PR9.json`: batched Monte-Carlo execution.
-/// The BENCH_PR2 workload — a 1M-run streaming marginal over
-/// `R(Flip<0.5>) :- true. S(X) :- R(X).` — is driven twice through the
-/// Session API: one lane per group (`batch(1)`, recorded under the
-/// `scalar` metric names) and batched (lane width 64).
-/// **Bit-identity is asserted before any timing**: the two marginals must
-/// agree bit for bit under the same seed, single- and multi-threaded, and
-/// a conditioned pass must agree too. The acceptance gate is ≥2x
-/// single-core runs/s for lane width 64 over lane width 1, plus
-/// a trend gate against the tracked `BENCH_PR9.json` when one exists.
-fn bench_pr9() {
-    use gdatalog_core::Session;
-    use gdatalog_data::tuple;
-
-    header(
-        "BENCH9",
-        "batched Monte-Carlo execution (written to target/bench/BENCH_PR9.json)",
-    );
-
-    let session = Session::from_source("R(Flip<0.5>) :- true. S(X) :- R(X).", SemanticsMode::Grohe)
-        .expect("ok");
-    let r = session.program().catalog.require("R").expect("declared");
-    let fact = Fact::new(r, tuple![1i64]);
-    const RUNS: usize = 1_000_000;
-    const LANES: usize = 64;
-
-    let run = |batch: usize, threads: usize| -> f64 {
-        session
-            .eval()
-            .sample(RUNS)
-            .seed(7)
-            .batch(batch)
-            .threads(threads)
-            .marginal(&fact)
-            .expect("runs")
-    };
-
-    // Bit-identity before any timing: scalar vs batched, single- and
-    // multi-threaded, unconditioned and conditioned.
-    let scalar_p = run(1, 1);
-    let batched_p = run(LANES, 1);
-    assert_eq!(
-        scalar_p.to_bits(),
-        batched_p.to_bits(),
-        "batched marginal must be bit-identical to scalar ({scalar_p} vs {batched_p})"
-    );
-    assert_eq!(
-        run(1, 4).to_bits(),
-        run(LANES, 4).to_bits(),
-        "bit-identity must hold at 4 workers too"
-    );
-    let cond = |batch: usize| -> f64 {
-        session
-            .eval()
-            .sample(100_000)
-            .seed(7)
-            .batch(batch)
-            .given("S(1).")
-            .marginal(&fact)
-            .expect("runs")
-    };
-    assert_eq!(
-        cond(1).to_bits(),
-        cond(LANES).to_bits(),
-        "conditioned bit-identity must hold"
-    );
-    println!("  bit-identity: batch({LANES}) == batch(1)  ✓ (1/4 threads, ±evidence)");
-
-    let scalar_ns = median_ns(5, || {
-        std::hint::black_box(run(1, 1));
-    });
-    let batched_ns = median_ns(5, || {
-        std::hint::black_box(run(LANES, 1));
-    });
-    let scalar_rate = RUNS as f64 / (scalar_ns / 1e9);
-    let batched_rate = RUNS as f64 / (batched_ns / 1e9);
-    let speedup = scalar_ns / batched_ns;
-    println!(
-        "  {:<44} {:>14.0} runs/s",
-        "mc_batch/scalar/1thread", scalar_rate
-    );
-    println!(
-        "  {:<44} {:>14.0} runs/s   ({speedup:.1}x)",
-        "mc_batch/batched64/1thread", batched_rate
-    );
-
-    let mut report = Report::new(9, "mc_batching");
-    check_trend(
-        &mut report,
-        "BENCH_PR9.json",
-        "speedup/batched_vs_scalar",
-        speedup,
-        0.5,
-    );
-    report
-        .metric("runs", RUNS as f64)
-        .metric("lane_batch", LANES as f64)
-        .metric("mc_batch/scalar/1thread/runs_per_s", scalar_rate.round())
-        .metric(
-            "mc_batch/batched64/1thread/runs_per_s",
-            batched_rate.round(),
-        )
-        .metric("marginal", batched_p)
-        .gate("bit_identical_to_scalar", true)
-        .gate_ratio("speedup/batched_vs_scalar", speedup, 2.0);
-    report.write("BENCH_PR9.json");
-}
-
-/// bench10 — the learning subsystem (PR 10, `crates/learn`): gates the
-/// acceptance property — fit → sample → refit recovers the parameters of
-/// every closed-form family within ≈6 asymptotic standard errors, and the
-/// latent EM path lands on the exact-enumeration MLE — then times
-/// closed-form fitting throughput and the EM iteration rate, writing
-/// `BENCH_PR10.json`.
-fn bench_pr10() {
-    use gdatalog_learn::{fit_program, FitOptions};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use std::fmt::Write as _;
-
-    header(
-        "bench10",
-        "learning: fit → sample → refit recovery and throughput",
-    );
-
-    let registry = Registry::standard();
-    let dataset = |family: &str, params: &[Value], rel: &str, n: usize, seed: u64| -> String {
-        let d = registry.get(family).expect("standard family");
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut text = String::new();
-        for k in 0..n {
-            let v = d.sample(params, &mut rng).expect("admissible parameters");
-            let _ = writeln!(text, "% run {k}\n{rel}({v}).");
-        }
-        text
-    };
-    let refit = |src: &str, data: &str| -> Vec<f64> {
-        fit_program(src, data, &FitOptions::default())
-            .expect("fit succeeds")
-            .report
-            .estimates
-            .iter()
-            .map(|e| e.value.as_f64().expect("numeric estimate"))
-            .collect()
-    };
-
-    // Gates come before any timing. Each closed-form family round-trips at
-    // n = 4000 draws with a fixed seed; tolerances mirror the integration
-    // suite (≈6 asymptotic standard errors, order-statistic slack for
-    // Uniform, normalized masses for Categorical).
-    const N: usize = 4000;
-    let nf = N as f64;
-    let se = |p: f64| 6.0 * (p * (1.0 - p) / nf).sqrt();
-    #[allow(clippy::type_complexity)]
-    let families: Vec<(&str, &str, Vec<Value>, &str, Vec<f64>, Vec<f64>, bool)> = vec![
-        (
-            "normal",
-            "Normal",
-            vec![Value::real(2.5), Value::real(4.0)],
-            "rel Obs(real). Obs(Normal<?mu, ?s2>) :- true.",
-            vec![2.5, 4.0],
-            vec![6.0 * (4.0f64 / nf).sqrt(), 6.0 * 4.0 * (2.0 / nf).sqrt()],
-            false,
-        ),
-        (
-            "lognormal",
-            "LogNormal",
-            vec![Value::real(0.4), Value::real(0.25)],
-            "rel Obs(real). Obs(LogNormal<?, ?>) :- true.",
-            vec![0.4, 0.25],
-            vec![6.0 * (0.25f64 / nf).sqrt(), 6.0 * 0.25 * (2.0 / nf).sqrt()],
-            false,
-        ),
-        (
-            "exponential",
-            "Exponential",
-            vec![Value::real(1.7)],
-            "rel Obs(real). Obs(Exponential<?>) :- true.",
-            vec![1.7],
-            vec![6.0 * 1.7 / nf.sqrt()],
-            false,
-        ),
-        (
-            "uniform",
-            "Uniform",
-            vec![Value::real(-1.0), Value::real(3.0)],
-            "rel Obs(real). Obs(Uniform<?, ?>) :- true.",
-            vec![-1.0, 3.0],
-            vec![12.0 * 4.0 / nf; 2],
-            false,
-        ),
-        (
-            "poisson",
-            "Poisson",
-            vec![Value::real(3.2)],
-            "rel Obs(int). Obs(Poisson<?>) :- true.",
-            vec![3.2],
-            vec![6.0 * (3.2f64 / nf).sqrt()],
-            false,
-        ),
-        (
-            "geometric",
-            "Geometric",
-            vec![Value::real(0.35)],
-            "rel Obs(int). Obs(Geometric<?>) :- true.",
-            vec![0.35],
-            vec![6.0 * 0.35 * (0.65f64 / nf).sqrt()],
-            false,
-        ),
-        (
-            "flip",
-            "Flip",
-            vec![Value::real(0.3)],
-            "rel Coin(int). Coin(Flip<?p>) :- true.",
-            vec![0.3],
-            vec![se(0.3)],
-            false,
-        ),
-        (
-            "binomial",
-            "Binomial",
-            vec![Value::int(10), Value::real(0.45)],
-            "rel Obs(int). Obs(Binomial<10, ?p>) :- true.",
-            vec![0.45],
-            vec![6.0 * (0.45f64 * 0.55 / (10.0 * nf)).sqrt()],
-            false,
-        ),
-        (
-            "categorical",
-            "Categorical",
-            vec![
-                Value::sym("a"),
-                Value::real(0.5),
-                Value::sym("b"),
-                Value::real(0.3),
-                Value::sym("c"),
-                Value::real(0.2),
-            ],
-            "rel Obs(symbol). Obs(Categorical<a, ?, b, ?, c, ?>) :- true.",
-            vec![0.5, 0.3, 0.2],
-            vec![se(0.5), se(0.3), se(0.2)],
-            true,
-        ),
-    ];
-
-    let mut recovered: Vec<(&str, f64)> = Vec::new();
-    for (gate, family, params, src, truth, tol, normalize) in &families {
-        let rel = if *gate == "flip" { "Coin" } else { "Obs" };
-        let data = dataset(family, params, rel, N, 10);
-        let mut est = refit(src, &data);
-        if *normalize {
-            let mass: f64 = est.iter().sum();
-            for e in &mut est {
-                *e /= mass;
-            }
-        }
-        let worst = est
-            .iter()
-            .zip(truth.iter().zip(tol))
-            .map(|(e, (t, tl))| (e - t).abs() / tl)
-            .fold(0.0f64, f64::max);
-        assert!(
-            worst <= 1.0,
-            "recovery/{gate}: estimate outside tolerance (err/tol = {worst:.2})"
-        );
-        println!("  recovery/{gate:<12} max |est−truth|/tol = {worst:.2}  ✓");
-        recovered.push((gate, worst));
-    }
-
-    // The latent EM path must land on the exact-enumeration MLE of the
-    // two-hop chain: with 7 of 10 blocks observing S(1), invert the
-    // forward map P(S=1) = 0.2 + 0.7·p.
-    let chain = "rel S(int).\nR(Flip<?p>) :- true.\nS(Flip<0.9>) :- R(1).\nS(Flip<0.2>) :- R(0).";
-    let mut em_data = String::new();
-    for (i, s) in [1, 1, 1, 0, 1, 1, 0, 1, 1, 0].iter().enumerate() {
-        let _ = writeln!(em_data, "% run {i}\nS({s}).");
-    }
-    let p_mle = (0.7 - 0.2) / 0.7;
-    let em_opts = FitOptions {
-        em_iters: 500,
-        tol: 1e-10,
-        ..FitOptions::default()
-    };
-    let em_fit = fit_program(chain, &em_data, &em_opts).expect("EM fit succeeds");
-    let p_hat = em_fit.report.estimates[0].value.as_f64().expect("real p");
-    assert!(
-        (p_hat - p_mle).abs() < 1e-3,
-        "EM p-hat {p_hat} vs exact MLE {p_mle}"
-    );
-    assert!(em_fit.report.em && em_fit.report.converged, "EM converges");
-    println!("  em/latent_chain  p-hat = {p_hat:.6} vs exact MLE {p_mle:.6}  ✓");
-
-    // Timing, now that the gates hold: end-to-end closed-form fit
-    // throughput (dataset parse + tuple matching + weighted MLE) on a
-    // 20k-fact Normal dataset, and the EM iteration rate on the chain.
-    const FIT_FACTS: usize = 20_000;
-    let big = dataset(
-        "Normal",
-        &[Value::real(2.5), Value::real(4.0)],
-        "Obs",
-        FIT_FACTS,
-        11,
-    );
-    let normal_src = "rel Obs(real). Obs(Normal<?mu, ?s2>) :- true.";
-    let fit_ns = median_ns(5, || {
-        std::hint::black_box(fit_program(normal_src, &big, &FitOptions::default()).expect("fit"));
-    });
-    let facts_per_s = FIT_FACTS as f64 / (fit_ns / 1e9);
-
-    let em_iters = em_fit.report.iterations as f64;
-    let em_ns = median_ns(5, || {
-        std::hint::black_box(fit_program(chain, &em_data, &em_opts).expect("EM fit"));
-    });
-    let em_iters_per_s = em_iters / (em_ns / 1e9);
-
-    println!(
-        "  {:<44} {:>14.0} facts/s",
-        "fit/closed_form/normal_20k", facts_per_s
-    );
-    println!(
-        "  {:<44} {:>14.0} iters/s",
-        "fit/em/latent_chain", em_iters_per_s
-    );
-
-    let mut report = Report::new(10, "learning");
-    check_trend(
-        &mut report,
-        "BENCH_PR10.json",
-        "fit/closed_form/facts_per_s",
-        facts_per_s,
-        0.5,
-    );
-    report
-        .metric("recovery/families", families.len() as f64)
-        .metric("recovery/n_draws", N as f64)
-        .metric("fit/closed_form/facts_per_s", facts_per_s.round())
-        .metric("fit/em/iterations_per_s", em_iters_per_s.round())
-        .metric("fit/em/p_hat", p_hat)
-        .gate("em_matches_exact_mle", (p_hat - p_mle).abs() < 1e-3)
-        .gate("em_converged", em_fit.report.converged);
-    for (gate, worst) in &recovered {
-        report.gate(&format!("recovery/{gate}"), *worst <= 1.0);
-    }
-    report.write("BENCH_PR10.json");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let run_all = args.is_empty();
-    let want = |id: &str| run_all || args.iter().any(|a| a.eq_ignore_ascii_case(id));
-
-    let experiments: Vec<(&str, fn())> = vec![
-        ("e1", e1 as fn()),
+    let experiments: [(&str, fn()); 8] = [
+        ("e1", e1),
         ("e2", e2),
         ("e3", e3),
         ("e4", e4),
@@ -1883,28 +567,20 @@ fn main() {
         ("e6", e6),
         ("e7", e7),
         ("e8", e8),
-        ("bench", bench_pr1),
-        ("bench2", bench_pr2),
-        ("bench3", bench_pr3),
-        ("bench5", bench_pr5),
-        ("bench7", bench_pr7),
-        ("bench8", bench_pr8),
-        ("bench9", bench_pr9),
-        ("bench10", bench_pr10),
     ];
-    let mut ran = 0;
-    for (id, f) in &experiments {
-        if want(id) {
-            f();
-            ran += 1;
-        }
-    }
-    if ran == 0 {
-        eprintln!(
-            "unknown experiment id; available: e1..e8, bench, bench2, bench3, bench5, bench7, \
-             bench8, bench9, bench10"
-        );
+    let known = |arg: &String| {
+        experiments
+            .iter()
+            .any(|(id, _)| arg.eq_ignore_ascii_case(id))
+    };
+    if let Some(unknown) = args.iter().find(|a| !known(a)) {
+        eprintln!("unknown experiment id `{unknown}`; available: e1..e8");
         std::process::exit(2);
+    }
+    for (id, f) in &experiments {
+        if args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(id)) {
+            f();
+        }
     }
     println!("\nAll requested experiments completed.");
 }

@@ -1,13 +1,8 @@
-//! Shared program corpus for the benchmark suite and the experiment
+//! Shared program corpus for the criterion suites and the experiment
 //! harness: the paper's example programs plus parameterized generators for
 //! scaling studies.
 
-use gdatalog_core::Engine;
-use gdatalog_lang::SemanticsMode;
 use std::fmt::Write as _;
-
-pub mod legacy;
-pub mod report;
 
 /// Example 3.4 of the paper (earthquake/burglary/alarm), parameterized by
 /// the number of houses in the first city.
@@ -90,23 +85,23 @@ pub fn serving_library_program(k: usize) -> String {
     src
 }
 
-/// Compiles a program under the Grohe semantics, panicking on errors
-/// (bench corpus programs are known-good).
-pub fn engine_of(src: &str) -> Engine {
-    Engine::from_source(src, SemanticsMode::Grohe).expect("corpus program compiles")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gdatalog_core::Engine;
+    use gdatalog_lang::SemanticsMode;
 
     #[test]
     fn corpus_programs_compile() {
-        engine_of(&burglary_program(3));
-        engine_of(&coins_program(4));
-        engine_of(&heights_program(5));
-        engine_of(geometric_chain());
-        engine_of(normal_chain());
-        engine_of(&serving_library_program(4));
+        for src in [
+            burglary_program(3),
+            coins_program(4),
+            heights_program(5),
+            geometric_chain().to_string(),
+            normal_chain().to_string(),
+            serving_library_program(4),
+        ] {
+            Engine::from_source(&src, SemanticsMode::Grohe).expect("corpus program compiles");
+        }
     }
 }

@@ -131,60 +131,6 @@ pub fn run_saturating_prepared(
     })
 }
 
-/// The old rebuild-per-step saturating chase: every sampling step replans
-/// the program, rebuilds all indexes, and reruns the deterministic
-/// fixpoint from the whole instance.
-///
-/// Kept **only** as the measured baseline for the incremental chase (see
-/// the `bench` experiment and `BENCH_PR1.json`); do not use elsewhere.
-///
-/// # Errors
-/// Runtime distribution failures.
-#[doc(hidden)]
-pub fn run_saturating_rebuild_baseline(
-    program: &CompiledProgram,
-    input: &Instance,
-    rng: &mut dyn Rng,
-    max_steps: usize,
-) -> Result<ChaseRun, DistError> {
-    let det = deterministic_fragment(program);
-    let mut steps = 0usize;
-    let mut log_weight = 0.0;
-
-    let (mut instance, stats) = gdatalog_datalog::fixpoint_seminaive_rebuild(&det, input);
-    steps += stats.derived_facts;
-    loop {
-        let app = applicable_existential_pairs(program, &instance);
-        if app.is_empty() {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::Terminated,
-                instance,
-                steps,
-                log_weight,
-                trace: Vec::new(),
-            });
-        }
-        if steps >= max_steps {
-            return Ok(ChaseRun {
-                outcome: RunOutcome::BudgetExhausted,
-                instance,
-                steps,
-                log_weight,
-                trace: Vec::new(),
-            });
-        }
-        let pair = app[0].clone();
-        let fired = fire(program, &program.rules[pair.rule], &pair.valuation, rng)?;
-        instance.insert_fact(fired.fact);
-        steps += 1;
-        log_weight += fired.log_density;
-        // The rebuild being benchmarked away: O(|D|) per sampling step.
-        let (next, stats) = gdatalog_datalog::fixpoint_seminaive_rebuild(&det, &instance);
-        instance = next;
-        steps += stats.derived_facts;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

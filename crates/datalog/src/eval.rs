@@ -11,9 +11,8 @@
 //! sampled fact in O(|Δ|) instead of O(|D|).
 //!
 //! [`fixpoint_seminaive_rebuild`] preserves the old rebuild-per-round
-//! behavior; it exists as the measured baseline for the incremental path
-//! (see `benches/datalog_substrate.rs`) and as the oracle in the
-//! incremental-vs-rebuilt property tests.
+//! behavior; it exists as the oracle in the incremental-vs-rebuilt
+//! property tests.
 
 use gdatalog_data::{Instance, RelId, Tuple, Value};
 
@@ -217,8 +216,7 @@ pub fn fixpoint_seminaive(program: &DatalogProgram, input: &Instance) -> (Instan
 /// Semi-naive evaluation with the **old rebuild-after-mutation** index
 /// discipline: every round builds fresh indexes over the full instance.
 ///
-/// Kept as the measured baseline for the incremental path and as a second
-/// oracle in property tests; do not use on hot paths.
+/// Kept as a second oracle in property tests; do not use on hot paths.
 pub fn fixpoint_seminaive_rebuild(
     program: &DatalogProgram,
     input: &Instance,

@@ -222,6 +222,11 @@ fn em_matches_exact_enumeration_mle() {
     };
     let fitted = fit_program(CHAIN, &data, &opts).unwrap();
     assert!(fitted.report.em);
+    assert!(
+        fitted.report.converged,
+        "EM converges within {} iterations",
+        opts.em_iters
+    );
     let p_hat = fitted.report.estimates[0].value.as_f64().unwrap();
     assert!(
         (p_hat - p_mle).abs() < 1e-4,

@@ -70,10 +70,17 @@ fn batch_of_one_is_bit_identical_seeded_mc() {
 
 #[test]
 fn batch_is_bit_identical_to_sequential_singles_any_worker_count() {
+    // The four query kinds round-robin; with the backend picked by `i % 3`,
+    // the 12 slots cover every kind on both backends.
     let requests: Vec<Request> = (0..12)
         .map(|i| {
-            let req = Request::marginal(format!("Alarm(c{i})"))
-                .evidence(format!("City(c{i}, 0.{}).", 1 + i % 8));
+            let req = match i % 4 {
+                0 => Request::marginal(format!("Alarm(c{i})")),
+                1 => Request::probability(format!("Alarm(c{i})")),
+                2 => Request::expectation("Alarm", AggFun::Count),
+                _ => Request::histogram("Earthquake", 1, 0.0, 2.0, 2),
+            }
+            .evidence(format!("City(c{i}, 0.{}).", 1 + i % 8));
             if i % 3 == 2 {
                 req.mc(1_000).seed(i as u64)
             } else {
@@ -88,12 +95,26 @@ fn batch_is_bit_identical_to_sequential_singles_any_worker_count() {
             .map(|r| server.execute(r).unwrap())
             .collect()
     };
+    // The uncached reference: every request compiled and answered on a
+    // fresh session, with no cache, pool or executor involved.
+    let fresh: Vec<Reply> = requests
+        .iter()
+        .map(|r| {
+            let mut session = Session::from_source(MODEL, SemanticsMode::Grohe).unwrap();
+            gdatalog::serve::execute_on(&mut session, r).unwrap()
+        })
+        .collect();
     for workers in [1usize, 2, 5] {
         let server = Server::from_source(MODEL, SemanticsMode::Grohe)
             .unwrap()
             .threads(workers);
         let answers = server.batch(&requests);
         for (i, answer) in answers.into_iter().enumerate() {
+            assert_eq!(
+                answer.as_ref().unwrap(),
+                &fresh[i],
+                "workers {workers}, slot {i} vs a fresh session"
+            );
             assert_eq!(answer.unwrap(), reference[i], "workers {workers}, slot {i}");
         }
     }

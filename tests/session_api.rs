@@ -398,9 +398,8 @@ impl WorldSink for CountingSink {
 fn streaming_mc_holds_o_result_memory() {
     // 100k runs through a statistic sink: the only state that survives the
     // evaluation is the sink itself — a few machine words — versus the
-    // O(runs · |D|) of a materialized EmpiricalPdb. (The 1M-run version of
-    // this check runs in release mode in the experiments bench and is
-    // recorded in BENCH_PR2.json.)
+    // O(runs · |D|) of a materialized EmpiricalPdb. The test checks the run
+    // count and the sink's size, not the process's memory.
     let engine =
         Engine::from_source("R(Flip<0.5>) :- true. S(X) :- R(X).", SemanticsMode::Grohe).unwrap();
     let mut counter = CountingSink {
