@@ -13,10 +13,15 @@
 //!
 //! `batch = 1` (one lane per group) is the baseline; results are bit-identical at every
 //! size, so this sweep is pure throughput. It chose the default of 64.
+//!
+//! **adaptive_lw** times ESS-targeted likelihood weighting on the
+//! three-house alarm network with two alarms observed, at the default
+//! batch and one or two workers: the doubling rounds of one evaluation
+//! share each worker slot's chase-tree memo.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdatalog_bench::heights_program;
-use gdatalog_core::{QuerySet, Session};
+use gdatalog_core::{EssTarget, QuerySet, Session};
 use gdatalog_data::{tuple, Fact};
 use gdatalog_lang::SemanticsMode;
 use gdatalog_pdb::{AggFun, Query};
@@ -114,5 +119,54 @@ fn bench_conditioned(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_discrete, bench_continuous, bench_conditioned);
+fn bench_adaptive_lw(c: &mut Criterion) {
+    let session = Session::from_source(
+        "rel House(symbol) input.
+         House(h1). House(h2). House(h3).
+         Quake(Flip<0.05>) :- true.
+         Burglary(H, Flip<0.1>) :- House(H).
+         Trig(H, Flip<0.6>) :- House(H), Quake(1).
+         Trig(H, Flip<0.9>) :- Burglary(H, 1).
+         Alarm(H) :- Trig(H, 1).",
+        SemanticsMode::Grohe,
+    )
+    .expect("ok");
+    let quake = session
+        .program()
+        .catalog
+        .require("Quake")
+        .expect("declared");
+    let fact = Fact::new(quake, tuple![1i64]);
+    let mut group = c.benchmark_group("mc_batch/adaptive_lw");
+    group.sample_size(10);
+    for threads in [1usize, 2] {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(threads),
+            &threads,
+            |b, &threads| {
+                b.iter(|| {
+                    black_box(
+                        session
+                            .eval()
+                            .sample_until(EssTarget::new(500.0))
+                            .seed(1)
+                            .threads(threads)
+                            .given("Alarm(h1). Alarm(h2).")
+                            .marginal(&fact)
+                            .expect("runs"),
+                    )
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_discrete,
+    bench_continuous,
+    bench_conditioned,
+    bench_adaptive_lw
+);
 criterion_main!(benches);

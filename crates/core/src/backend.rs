@@ -40,6 +40,7 @@ use gdatalog_pdb::{DeficitKind, PossibleWorlds, WorldSink};
 use crate::applicability::PreparedProgram;
 use crate::exact::{enumerate_parallel_prepared, enumerate_sequential_prepared, ExactConfig};
 use crate::mc::ChaseVariant;
+use crate::mc_batch::ChaseMemo;
 use crate::observe;
 use crate::policy::{ChasePolicy, PolicyKind};
 use crate::EngineError;
@@ -59,9 +60,12 @@ pub struct EvalOptions {
     /// Monte-Carlo batch size: how many runs the lane-group executor
     /// drives in lockstep, sharing the deterministic chase prefix and the
     /// per-step applicability/kernel work (see `crates/core/src/mc_batch.rs`).
-    /// Sharing also spans batches: each worker keeps a memo of the
-    /// discrete chase-tree paths its batches have chased, and later lanes
-    /// drawing the same outcomes follow it without chasing. Results are
+    /// Sharing spans every batch and round of one evaluation: each worker
+    /// slot keeps a memo of the discrete chase-tree paths its batches have
+    /// chased, for the whole evaluation (every doubling round of
+    /// [`Evaluation::sample_until`](crate::Evaluation::sample_until)
+    /// included), and later lanes drawing the same outcomes walk it
+    /// without chasing. Results are
     /// bit-identical at any batch size; at `1` every run is a lane group
     /// of its own and nothing is memoized — the unshared reference. The
     /// batch is also the scheduling quantum: deadline checks are
@@ -416,11 +420,19 @@ pub struct McBackend;
 ///   conditioned, deficits `1` — so a caller can grow the run count in
 ///   batches against one persistent sink and divide by the final total
 ///   itself.
+///
+/// `memos` holds one chase-tree memo per worker slot (see
+/// [`crate::mc_batch`]); missing slots are opened empty. Worker `w` of
+/// this pass drives its chunk on `memos[w]`, so a caller that passes the
+/// same set to successive passes of one evaluation — the adaptive
+/// driver's rounds — lets each pass walk the paths earlier passes chased.
+/// The memos change only the work, never a run's result.
 pub(crate) fn mc_stream(
     job: &EvalJob<'_>,
     sink: &mut dyn WorldSink,
     range: std::ops::Range<usize>,
     raw: bool,
+    memos: &mut Vec<ChaseMemo>,
 ) -> Result<(), EngineError> {
     let program = job.program;
     let runs = range.len();
@@ -435,28 +447,31 @@ pub(crate) fn mc_stream(
     let options = job.options;
     let threads = options.threads.max(1).min(runs);
     let batch_size = options.run_budget().batch;
+    if memos.len() < threads {
+        memos.resize_with(threads, || ChaseMemo::new(options));
+    }
 
     // Drives one contiguous subrange of runs into one sink, reporting a
     // failure with the run index it occurred at. `batch` runs execute in
     // lockstep as lane groups sharing the deterministic prefix and
-    // per-step chase work, and the worker's chase-tree memo shares the
-    // recorded paths and their likelihoods across its batches
+    // per-step chase work, and the worker slot's chase-tree memo shares
+    // the recorded paths and their likelihoods across its batches
     // (`crate::mc_batch`); one `observe_batch` then emits the whole lane
     // batch by reference. Deadline checks are cooperative at batch
     // boundaries.
     let drive = |sink: &mut dyn WorldSink,
+                 memo: &mut ChaseMemo,
                  chunk: std::ops::Range<usize>|
      -> Result<(), (usize, EngineError)> {
-        use crate::mc_batch::{ChaseMemo, LaneObs};
+        use crate::mc_batch::LaneObs;
         use gdatalog_pdb::BatchObs;
-        let mut memo = ChaseMemo::new(options);
         let mut lo = chunk.start;
         while lo < chunk.end {
             let hi = (lo + batch_size).min(chunk.end);
             if let Err(e) = crate::exact::check_deadline(options.deadline) {
                 return Err((lo, e));
             }
-            let lanes = crate::mc_batch::run_batch(job, &prepared, &existential, &mut memo, lo..hi);
+            let lanes = crate::mc_batch::run_batch(job, &prepared, &existential, memo, lo..hi);
             let mut batch_obs: Vec<BatchObs<'_>> = Vec::with_capacity(lanes.len());
             let mut failure: Option<(usize, EngineError)> = None;
             for (off, lane) in lanes.iter().enumerate() {
@@ -490,7 +505,7 @@ pub(crate) fn mc_stream(
     };
 
     if threads <= 1 || sink.fork().is_none() {
-        return drive(sink, range).map_err(|(_, e)| e);
+        return drive(sink, &mut memos[0], range).map_err(|(_, e)| e);
     }
 
     // Contiguous chunks, folded worker-locally into forked sinks and
@@ -502,20 +517,25 @@ pub(crate) fn mc_stream(
     type ChunkResult = Result<Box<dyn WorldSink>, (usize, EngineError)>;
     let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .map(|worker| {
+            .zip(memos.iter_mut())
+            .map(|(worker, memo)| {
                 let lo = range.start + worker * runs / threads;
                 let hi = range.start + (worker + 1) * runs / threads;
                 let mut local = sink.fork().expect("fork checked above");
                 let drive = &drive;
                 scope.spawn(move || -> ChunkResult {
-                    drive(&mut *local, lo..hi)?;
+                    drive(&mut *local, memo, lo..hi)?;
                     Ok(local)
                 })
             })
             .collect();
+        // A worker's panic is re-raised with its own payload.
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
             .collect()
     });
 
@@ -549,7 +569,7 @@ impl Backend for McBackend {
     }
 
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        mc_stream(job, sink, 0..job.options.runs, false)
+        mc_stream(job, sink, 0..job.options.runs, false, &mut Vec::new())
     }
 }
 
@@ -745,5 +765,59 @@ mod tests {
         let table = sink.finish();
         assert_eq!(table.len(), 0);
         assert!((table.deficit().nontermination - 1.0).abs() < 1e-9);
+    }
+
+    /// A coin whose every draw panics.
+    struct Panicking;
+
+    impl gdatalog_dist::ParamDist for Panicking {
+        fn name(&self) -> &str {
+            "Panicking"
+        }
+        fn arity(&self) -> gdatalog_dist::DistArity {
+            gdatalog_dist::DistArity::Exact(1)
+        }
+        fn output_type(&self) -> gdatalog_data::ColType {
+            gdatalog_data::ColType::Int
+        }
+        fn is_discrete(&self) -> bool {
+            true
+        }
+        fn sample(
+            &self,
+            _: &[gdatalog_data::Value],
+            _: &mut dyn rand::Rng,
+        ) -> Result<gdatalog_data::Value, gdatalog_dist::DistError> {
+            panic!("a draw of Panicking");
+        }
+        fn log_density(
+            &self,
+            _: &[gdatalog_data::Value],
+            _: &gdatalog_data::Value,
+        ) -> Result<f64, gdatalog_dist::DistError> {
+            Ok(0.0)
+        }
+    }
+
+    #[test]
+    fn a_worker_panic_keeps_its_payload() {
+        let mut registry = Registry::standard();
+        registry.register(Arc::new(Panicking));
+        let validated = validate(
+            parse_program("R(Panicking<0.5>) :- true.").unwrap(),
+            Arc::new(registry),
+        )
+        .unwrap();
+        let prog = translate(&validated, SemanticsMode::Grohe).unwrap();
+        let opts = EvalOptions {
+            runs: 64,
+            threads: 2,
+            ..EvalOptions::default()
+        };
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            drive(&McBackend, &prog, &opts, &mut EmpiricalSink::new());
+        }))
+        .unwrap_err();
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"a draw of Panicking"));
     }
 }

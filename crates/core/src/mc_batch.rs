@@ -30,38 +30,44 @@
 //! select from a per-run derived stream, so no two lanes share a selection
 //! state: their batch starts as one group per lane.
 //!
-//! Sharing also spans batches. A Monte-Carlo run is a random walk down the
-//! chase tree (Def. 4.2), and for a discrete program runs drawing the same
-//! outcomes reach the same node, so a [`ChaseMemo`] kept by each worker
-//! records the tree the group loop has chased: at each existential step or
-//! parallel round, the draws' families and evaluated parameters, one child
-//! per joint outcome, and at each leaf the terminal observation with its
-//! evidence log-likelihood. A batch first **walks** the memo: lanes draw
-//! at each recorded node exactly as the group loop would, then follow the
-//! edge of their outcomes with no chase state, no `App(D)` work and no
-//! insert. Lanes whose outcomes leave the recorded tree are chased from
-//! their run's seed by the group loop, which records the nodes it passes.
-//! Only discrete draws are recorded (a continuous draw ends the memo
-//! path), nothing is recorded at batch 1 or under the `Random` policy,
-//! the memo never holds a chase state, and recording stops at a fixed
-//! size; a memo that stops growing while resolving less than half of a
-//! batch is dropped.
+//! Sharing also spans batches, and the adaptive driver's rounds. A
+//! Monte-Carlo run is a random walk down the chase tree (Def. 4.2), and
+//! for a discrete program runs drawing the same outcomes reach the same
+//! node, so a [`ChaseMemo`] records the tree the group loop has chased: at
+//! each existential step or parallel round, the draws' families and
+//! evaluated parameters, one child per joint outcome, and at each leaf the
+//! terminal observation with its evidence log-likelihood. The caller keeps
+//! one memo per worker slot for the whole evaluation — every batch of a
+//! fixed-run pass, every round of an ESS-targeted one — and hands the
+//! memos to the scoped workers of each pass; input, evidence and options
+//! are fixed within one evaluation, so every recorded node stays valid
+//! for as long as the memo lives. A batch first **walks** the memo, lane
+//! by lane: each lane draws at each recorded node exactly as the group
+//! loop would, then follows the edge of its outcomes with no chase state,
+//! no `App(D)` work, no insert and no per-lane allocation. Lanes whose
+//! outcomes leave the recorded tree are chased from their run's seed by
+//! the group loop, which records the nodes it passes. Only discrete draws are
+//! recorded (a continuous draw ends the memo path), nothing is recorded at
+//! batch 1 or under the `Random` policy, the memo never holds a chase
+//! state, and recording stops at a fixed size; a memo that stops growing
+//! while resolving less than half of a batch is dropped.
 //!
-//! Sampling inside a group or at a memo node is **spec-major** via
+//! Sampling inside a group is **spec-major** via
 //! [`gdatalog_dist::ParamDist::sample_batch`]: parameters are evaluated
 //! once per spec (they are a function of the valuation, shared by the
 //! whole group) and each lane's RNG is touched once per spec in spec
 //! order — exactly the per-run draw order of
-//! [`crate::sequential::fire`].
+//! [`crate::sequential::fire`]. The memo walk draws the same specs in the
+//! same order with [`gdatalog_dist::ParamDist::sample`], which per lane
+//! equals `sample_batch`.
 //!
 //! Lane-partition equality uses `Value`'s total equality (`-0.0` is
 //! normalized at construction and NaN rejected), so two lanes merge only
 //! when their sampled values are the same points of the value domain —
 //! their futures are then provably identical.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::ops::Range;
-use std::rc::Rc;
 use std::sync::Arc;
 
 use gdatalog_data::{Instance, RelId, Tuple, Value};
@@ -80,18 +86,18 @@ use crate::policy::{ChasePolicy, PolicyKind};
 use crate::EngineError;
 
 /// Per-lane result of a batched execution. Terminated lanes of one group
-/// (or one memo leaf) share their projected world through an [`Rc`] (the
-/// batch is always driven and consumed on one worker thread), so a group
-/// of N identical runs materializes its world once.
+/// (or one memo leaf) share their projected world through an [`Arc`] (a
+/// memo leaf moves with its memo between the workers of successive
+/// passes), so a group of N identical runs materializes its world once.
 #[derive(Debug, Clone)]
 pub(crate) enum LaneObs {
     /// The lane terminated with this world (post `keep_aux` projection);
     /// the evaluation is unconditioned.
-    World(Rc<Instance>),
+    World(Arc<Instance>),
     /// The lane terminated with this world; the evaluation is
     /// conditioned, and the second field is the evidence's log-likelihood
     /// of the world (never `-inf`).
-    Weighted(Rc<Instance>, f64),
+    Weighted(Arc<Instance>, f64),
     /// The lane terminated in a world the evidence rules out.
     Rejected,
     /// The lane exhausted the step budget (the error event `err`).
@@ -115,18 +121,20 @@ enum Node {
     /// Reached, but not recorded: lanes arriving here are chased.
     Open,
     /// An existential step or parallel round whose draws are all
-    /// discrete, in firing order, with one child per joint outcome.
+    /// discrete, in firing order, with one child per joint outcome. A
+    /// node has few children (one per outcome path seen), so they are
+    /// searched linearly.
     Draws {
         specs: Vec<Spec>,
-        children: HashMap<Vec<Value>, usize>,
+        children: Vec<(Vec<Value>, usize)>,
     },
     /// A terminal observation (never [`LaneObs::Failed`]).
     Leaf(LaneObs),
 }
 
-/// The chase tree one worker has recorded across the lane batches of one
-/// evaluation (see the module docs). Node 0 is the root: the first step
-/// that draws, from the job's input.
+/// The chase tree one worker slot has recorded across the lane batches
+/// and passes of one evaluation (see the module docs). Node 0 is the root:
+/// the first step that draws, from the job's input.
 pub(crate) struct ChaseMemo {
     nodes: Vec<Node>,
     /// Nodes plus the facts of recorded worlds; see [`MEMO_CELLS`].
@@ -161,59 +169,51 @@ impl ChaseMemo {
         }
     }
 
-    /// Walks the lanes of `range` down the recorded tree, filling
-    /// `results` for the lanes that reach a leaf (or fail at a node), and
+    /// Walks each lane of `range` from its run's seed down the recorded
+    /// tree, filling `results` for the lanes that reach a leaf, and
     /// returns the batch-local lanes left to chase, in ascending order.
+    ///
+    /// At each recorded node a lane draws the node's specs in firing order
+    /// with [`ParamDist::sample`] into one reused joint buffer and follows
+    /// the child of that joint. The walk computes no log-density: a
+    /// recorded edge's joint had its log-density under the node's exact
+    /// parameters computed without error when the group loop recorded it,
+    /// so a lane following it would compute the same value again. A lane
+    /// that draws an unrecorded joint (or whose draw fails) goes to the
+    /// group loop, which redoes everything — draws, densities, errors —
+    /// from the run's seed.
     fn walk(&self, seed: u64, range: Range<usize>, results: &mut [Option<LaneObs>]) -> Vec<usize> {
-        let all: Vec<usize> = (0..range.len()).collect();
         if !self.active || matches!(self.nodes[0], Node::Open) {
-            return all;
+            return (0..range.len()).collect();
         }
-        let rngs = range.map(|run_ix| lane_rng(seed, run_ix)).collect();
-        let mut stack: Vec<(usize, Vec<usize>, Vec<StdRng>)> = vec![(0, all, rngs)];
         let mut chase = Vec::new();
-        let (mut outcomes, mut densities) = (Vec::new(), Vec::new());
-        while let Some((node, mut lanes, mut rngs)) = stack.pop() {
-            let (specs, children) = match &self.nodes[node] {
-                Node::Open => {
-                    chase.extend(lanes);
-                    continue;
-                }
-                Node::Leaf(obs) => {
-                    for lane in lanes {
-                        results[lane] = Some(obs.clone());
-                    }
-                    continue;
-                }
-                Node::Draws { specs, children } => (specs, children),
-            };
-            outcomes.clear();
-            let drawn = specs.iter().try_for_each(|(dist, params)| {
-                draw(&**dist, params, &mut rngs, &mut outcomes, &mut densities)
-            });
-            if let Err(err) = drawn {
-                let failed = LaneObs::Failed(EngineError::Dist(err));
-                for lane in lanes {
-                    results[lane] = Some(failed.clone());
-                }
-                continue;
-            }
-            let (tags, joints) = partition(&outcomes, lanes.len());
-            for (tag, joint) in joints.iter().enumerate().skip(1) {
-                let (members, rngs) = part(&tags, tag, &lanes, &rngs);
-                match children.get(joint.as_slice()) {
-                    Some(&child) => stack.push((child, members, rngs)),
-                    None => chase.extend(members),
-                }
-            }
-            keep_first_part(&tags, &mut lanes, &mut rngs);
-            match children.get(joints[0].as_slice()) {
-                Some(&child) => stack.push((child, lanes, rngs)),
-                None => chase.extend(lanes),
+        let mut joint = Vec::new();
+        for (lane, run_ix) in range.enumerate() {
+            match self.leaf(&mut lane_rng(seed, run_ix), &mut joint) {
+                Some(obs) => results[lane] = Some(obs.clone()),
+                None => chase.push(lane),
             }
         }
-        chase.sort_unstable();
         chase
+    }
+
+    /// The recorded leaf one lane's draws from `rng` lead to, if its path
+    /// stays on the memo.
+    fn leaf(&self, rng: &mut StdRng, joint: &mut Vec<Value>) -> Option<&LaneObs> {
+        let mut node = 0;
+        loop {
+            match &self.nodes[node] {
+                Node::Open => return None,
+                Node::Leaf(obs) => return Some(obs),
+                Node::Draws { specs, children } => {
+                    joint.clear();
+                    for (dist, params) in specs {
+                        joint.push(dist.sample(params, rng).ok()?);
+                    }
+                    node = children.iter().find(|(edge, _)| edge == joint)?.1;
+                }
+            }
+        }
     }
 
     /// Records `specs` at `node` if the node is open and every draw is
@@ -225,7 +225,7 @@ impl ChaseMemo {
                 self.cells += specs.len();
                 self.nodes[node] = Node::Draws {
                     specs: std::mem::take(specs),
-                    children: HashMap::new(),
+                    children: Vec::new(),
                 };
                 true
             }
@@ -241,13 +241,13 @@ impl ChaseMemo {
         let Node::Draws { children, .. } = &mut self.nodes[node] else {
             unreachable!("a group on the memo sits at a recorded step")
         };
-        if let Some(&child) = children.get(joint) {
+        if let Some(&(_, child)) = children.iter().find(|(edge, _)| edge == joint) {
             return Some(child);
         }
         if full {
             return None;
         }
-        children.insert(joint.to_vec(), next);
+        children.push((joint.to_vec(), next));
         self.nodes.push(Node::Open);
         self.cells += 1;
         Some(next)
@@ -289,24 +289,6 @@ impl ChaseMemo {
 /// Run `run_ix`'s Monte-Carlo stream.
 fn lane_rng(seed: u64, run_ix: usize) -> StdRng {
     StdRng::seed_from_u64(derive_seed(seed, run_ix as u64))
-}
-
-/// Draws one outcome per lane from `dist` under `params`, appending them
-/// to `outcomes`. The reference loops' `fire` computes every outcome's
-/// log-density (the run's log-weight); this matches its work and its
-/// error surface, discarding the values — emission recomputes the
-/// conditioned weight from the final world.
-fn draw(
-    dist: &dyn ParamDist,
-    params: &[Value],
-    rngs: &mut [StdRng],
-    outcomes: &mut Vec<Value>,
-    densities: &mut Vec<f64>,
-) -> Result<(), DistError> {
-    let start = outcomes.len();
-    dist.sample_batch(params, rngs, outcomes)?;
-    densities.clear();
-    dist.log_density_batch(params, &outcomes[start..], densities)
 }
 
 /// Partitions `lanes` lanes by their joint outcomes, stored spec-major in
@@ -378,6 +360,12 @@ struct Draws {
 
 impl Draws {
     /// Samples experiment `e` under `valuation` in every lane, spec-major.
+    /// The reference loops' `fire` computes every outcome's log-density
+    /// (the run's log-weight); this matches its work and its error
+    /// surface, discarding the values — emission recomputes the
+    /// conditioned weight from the final world. The memo walk skips the
+    /// densities of recorded edges, which this computed when it recorded
+    /// them (see [`ChaseMemo::walk`]).
     fn sample(
         &mut self,
         e: &ExistentialHead,
@@ -387,13 +375,11 @@ impl Draws {
         let mut densities = Vec::with_capacity(rngs.len());
         for spec in &e.samples {
             let params = eval_terms(&spec.param_terms, valuation);
-            draw(
-                &*spec.dist,
-                &params,
-                rngs,
-                &mut self.outcomes,
-                &mut densities,
-            )?;
+            let start = self.outcomes.len();
+            spec.dist.sample_batch(&params, rngs, &mut self.outcomes)?;
+            densities.clear();
+            spec.dist
+                .log_density_batch(&params, &self.outcomes[start..], &mut densities)?;
             self.specs.push((Arc::clone(&spec.dist), params));
         }
         self.experiments.push((
@@ -568,11 +554,11 @@ impl Group {
 /// evidence's log-likelihood when conditioned.
 fn terminal(world: Instance, observes: &[CompiledObserve]) -> LaneObs {
     if observes.is_empty() {
-        return LaneObs::World(Rc::new(world));
+        return LaneObs::World(Arc::new(world));
     }
     match observe::log_weight(observes, &world) {
         Ok(lw) if lw == f64::NEG_INFINITY => LaneObs::Rejected,
-        Ok(lw) => LaneObs::Weighted(Rc::new(world), lw),
+        Ok(lw) => LaneObs::Weighted(Arc::new(world), lw),
         Err(err) => LaneObs::Failed(err),
     }
 }
@@ -731,7 +717,7 @@ mod tests {
     use crate::sequential::{run_sequential_prepared, RunOutcome};
     use gdatalog_dist::Registry;
     use gdatalog_lang::{parse_program, translate, validate, SemanticsMode};
-    use std::sync::Arc;
+    use gdatalog_pdb::EmpiricalSink;
 
     fn compile(src: &str, mode: SemanticsMode) -> CompiledProgram {
         let v = validate(parse_program(src).unwrap(), Arc::new(Registry::standard())).unwrap();
@@ -981,14 +967,14 @@ mod tests {
     #[test]
     fn identical_lanes_share_one_world_allocation() {
         // Flip<1.0> draws 1 in every lane: the batch never splits and all
-        // lanes alias one Rc world.
+        // lanes alias one Arc world.
         let program = compile("R(Flip<1.0>) :- true.", SemanticsMode::Grohe);
         let obs = batched(&program, &EvalOptions::default(), 8, 8);
         let first = match &obs[0] {
-            LaneObs::World(w) => Rc::clone(w),
+            LaneObs::World(w) => Arc::clone(w),
             other => panic!("expected a world, got {other:?}"),
         };
-        assert_eq!(Rc::strong_count(&first), 9, "8 lanes + the local clone");
+        assert_eq!(Arc::strong_count(&first), 9, "8 lanes + the local clone");
     }
 
     /// The alarm network of the diagnosis benchmark, with three houses.
@@ -1127,5 +1113,135 @@ mod tests {
             "{} cells",
             memo.cells
         );
+    }
+
+    #[test]
+    fn memo_spans_mc_stream_calls() {
+        let program = compile(DIAGNOSIS, SemanticsMode::Grohe);
+        let options = EvalOptions {
+            seed: 4,
+            threads: 2,
+            keep_aux: true,
+            ..EvalOptions::default()
+        };
+        let job = EvalJob {
+            program: &program,
+            prepared: None,
+            input: &program.initial_instance,
+            options: &options,
+            observes: &[],
+        };
+        let stream = |memos: &mut Vec<ChaseMemo>| {
+            let mut sink = EmpiricalSink::new();
+            crate::backend::mc_stream(&job, &mut sink, 0..64 * 24, false, memos).unwrap();
+            sink.finish().samples().to_vec()
+        };
+        let chased = |memos: &[ChaseMemo]| {
+            let paths = memos.iter().map(|memo| memo.paths).sum::<usize>();
+            let steps = memos.iter().map(|memo| memo.steps).sum::<usize>();
+            (paths, steps)
+        };
+        let mut memos = Vec::new();
+        let first = stream(&mut memos);
+        assert_eq!(memos.len(), 2, "one memo per worker slot");
+        assert!(chased(&memos).0 > 0);
+        // The same runs on the carried memos follow recorded edges only:
+        // counted afresh, they chase no path and run no step.
+        for memo in &mut memos {
+            (memo.paths, memo.steps) = (0, 0);
+        }
+        let again = stream(&mut memos);
+        assert_eq!(chased(&memos), (0, 0), "no path chased twice");
+        assert_eq!(again, first);
+    }
+
+    /// A coin of bias `p` whose log-density fails on heads: a run drawing
+    /// heads fails, at batch 1 by itself.
+    struct Brittle;
+
+    impl ParamDist for Brittle {
+        fn name(&self) -> &str {
+            "Brittle"
+        }
+        fn arity(&self) -> gdatalog_dist::DistArity {
+            gdatalog_dist::DistArity::Exact(1)
+        }
+        fn output_type(&self) -> gdatalog_data::ColType {
+            gdatalog_data::ColType::Int
+        }
+        fn is_discrete(&self) -> bool {
+            true
+        }
+        fn sample(&self, params: &[Value], rng: &mut dyn rand::Rng) -> Result<Value, DistError> {
+            let p = params[0].as_f64().expect("a real bias");
+            Ok(Value::int(i64::from(rng.gen_bool(p))))
+        }
+        fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
+            match outcome.as_i64() {
+                Some(0) => Ok((1.0 - params[0].as_f64().expect("a real bias")).ln()),
+                _ => Err(DistError::BadOutcome {
+                    dist: "Brittle",
+                    outcome: outcome.clone(),
+                }),
+            }
+        }
+    }
+
+    #[test]
+    fn walk_keeps_the_reference_error_surface() {
+        let mut registry = Registry::standard();
+        registry.register(Arc::new(Brittle));
+        let src = "A(Brittle<0.02>) :- true. B(Flip<0.5>) :- A(0).";
+        let validated = validate(parse_program(src).unwrap(), Arc::new(registry)).unwrap();
+        let program = translate(&validated, SemanticsMode::Grohe).unwrap();
+        let options = EvalOptions {
+            seed: 8,
+            ..EvalOptions::default()
+        };
+        let (recorded, walked) = (8 * 16, 512);
+        let reference = batched(&program, &options, 1, recorded + walked);
+        let failing = reference[recorded..]
+            .iter()
+            .filter(|obs| matches!(obs, LaneObs::Failed(_)))
+            .count();
+        assert!(failing > 0, "some walked run draws the failing outcome");
+
+        let mut memo = ChaseMemo::new(&EvalOptions {
+            batch: 8,
+            ..options
+        });
+        batched_on(&program, &[], &options, 8, recorded, &mut memo);
+        assert!(memo.recorded() > 0);
+        let mut results = vec![None; walked];
+        let chase = memo.walk(options.seed, recorded..recorded + walked, &mut results);
+        assert!(
+            chase.len() >= failing && chase.len() < walked / 2,
+            "{} of {walked} lanes left to chase",
+            chase.len()
+        );
+        for (lane, got) in results.iter().enumerate() {
+            let expect = &reference[recorded + lane];
+            match got {
+                Some(got) => assert!(
+                    same_obs(got, expect),
+                    "run {}: {got:?} vs {expect:?}",
+                    recorded + lane
+                ),
+                None => assert!(chase.contains(&lane)),
+            }
+        }
+    }
+
+    /// Lane observations compared bit for bit.
+    fn same_obs(a: &LaneObs, b: &LaneObs) -> bool {
+        match (a, b) {
+            (LaneObs::World(a), LaneObs::World(b)) => a == b,
+            (LaneObs::Weighted(a, x), LaneObs::Weighted(b, y)) => {
+                a == b && x.to_bits() == y.to_bits()
+            }
+            (LaneObs::Rejected, LaneObs::Rejected) | (LaneObs::Budget, LaneObs::Budget) => true,
+            (LaneObs::Failed(a), LaneObs::Failed(b)) => format!("{a:?}") == format!("{b:?}"),
+            _ => false,
+        }
     }
 }

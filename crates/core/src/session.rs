@@ -278,7 +278,10 @@ pub struct EvidenceSummary {
 /// hits). Batches double from `initial_batch`, and every run's seed
 /// derives from its global run index, so the sampled stream is a prefix
 /// of the fixed-run stream with the same seed — the adaptive answer is
-/// reproducible and grows monotonically.
+/// reproducible and grows monotonically. Lane sharing spans every batch
+/// and round of one evaluation: the rounds reuse each worker slot's
+/// chase-tree memo (see [`EvalOptions::batch`]), so a round walks the
+/// outcome paths earlier rounds chased instead of chasing them again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EssTarget {
     /// Stop once the achieved effective sample size reaches this.
@@ -1024,9 +1027,12 @@ impl<'a> Evaluation<'a> {
         let max_runs = budget.max_runs;
         let mut batch = budget.initial_batch;
         let mut done = 0usize;
+        // One memo set for every round: later rounds walk the chase-tree
+        // paths earlier rounds chased.
+        let mut memos = Vec::new();
         while done < max_runs {
             let end = budget.round_to_batches(done.saturating_add(batch));
-            match crate::backend::mc_stream(&job, &mut wrapper, done..end, true) {
+            match crate::backend::mc_stream(&job, &mut wrapper, done..end, true, &mut memos) {
                 Ok(()) => {}
                 // A deadline mid-batch is terminal: keep what the stream
                 // folded if anything was observed — the posterior is

@@ -390,7 +390,11 @@ impl BatchExecutor {
                 .collect();
             handles
                 .into_iter()
-                .map(|h| h.join().expect("batch worker panicked"))
+                // A worker's panic is re-raised with its own payload.
+                .map(|h| {
+                    h.join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                })
                 .collect()
         });
         // Scatter into request-order slots. Every index in [0, n) was

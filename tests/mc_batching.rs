@@ -286,3 +286,76 @@ fn expired_deadline_observes_nothing() {
     assert!(matches!(err, EngineError::DeadlineExceeded));
     assert!(sink.obs.is_empty());
 }
+
+/// The alarm network of the diagnosis posterior, three houses: every draw
+/// is discrete, so lanes walk the chase-tree memos of their worker slots.
+const DIAGNOSIS: &str = r#"
+    rel House(symbol) input.
+    House(h1). House(h2). House(h3).
+    Quake(Flip<0.05>) :- true.
+    Burglary(H, Flip<0.1>) :- House(H).
+    Trig(H, Flip<0.6>) :- House(H), Quake(1).
+    Trig(H, Flip<0.9>) :- Burglary(H, 1).
+    Alarm(H) :- Trig(H, 1).
+"#;
+
+/// ESS-targeted sampling keeps one chase-tree memo per worker slot across
+/// all of its doubling rounds. At one and two workers its answers and
+/// whole evidence summary equal the one-lane, one-worker reference bit
+/// for bit, and its answers equal the fixed-run pass at the run count it
+/// reached (the prefix property of `EssTarget`).
+#[test]
+fn adaptive_sampling_on_workers_equals_the_unshared_reference() {
+    let session = Session::from_source(DIAGNOSIS, SemanticsMode::Grohe).unwrap();
+    let catalog = &session.program().catalog;
+    let quake = Fact::new(catalog.require("Quake").unwrap(), tuple![1i64]);
+    let burglary = catalog.require("Burglary").unwrap();
+    let queries = QuerySet::new()
+        .marginal(&quake)
+        .expectation(&Query::Rel(burglary), AggFun::Count);
+    let given = "Alarm(h1). Alarm(h2).";
+    let adaptive = |batch: usize, threads: usize| {
+        session
+            .eval()
+            .sample_until(EssTarget::new(150.0))
+            .seed(21)
+            .batch(batch)
+            .threads(threads)
+            .given(given)
+            .answer(&queries)
+            .unwrap()
+    };
+    let reference = adaptive(1, 1);
+    let ev = reference.evidence();
+    assert!(ev.ess >= 150.0, "{ev:?}");
+    assert!(
+        ev.runs > 512,
+        "the target takes more than one round: {ev:?}"
+    );
+    for threads in [1usize, 2] {
+        let got = adaptive(64, threads);
+        assert_eq!(
+            got.iter().collect::<Vec<_>>(),
+            reference.iter().collect::<Vec<_>>(),
+            "batch 64 × {threads} workers"
+        );
+        assert_eq!(got.evidence(), ev, "batch 64 × {threads} workers");
+    }
+    let fixed = session
+        .eval()
+        .sample(ev.runs)
+        .seed(21)
+        .given(given)
+        .answer(&queries)
+        .unwrap();
+    assert_eq!(
+        fixed.iter().collect::<Vec<_>>(),
+        reference.iter().collect::<Vec<_>>(),
+        "the adaptive stream is the fixed-run stream's prefix"
+    );
+    let fixed_ev = fixed.evidence();
+    assert_eq!(
+        (fixed_ev.runs, fixed_ev.worlds, fixed_ev.ess),
+        (ev.runs, ev.worlds, ev.ess)
+    );
+}
