@@ -280,7 +280,7 @@ pub trait Backend {
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError>;
 }
 
-fn existential_rule_ids(program: &CompiledProgram) -> Vec<usize> {
+pub(crate) fn existential_rule_ids(program: &CompiledProgram) -> Vec<usize> {
     program
         .rules
         .iter()

@@ -52,6 +52,14 @@
 //! state, and recording stops at a fixed size; a memo that stops growing
 //! while resolving less than half of a batch is dropped.
 //!
+//! The same node store serves the Metropolis-Hastings chain
+//! ([`crate::mcmc`]), whose replays are walks down the canonical chase's
+//! tree: there a recorded step also names its sampling site (the rule and
+//! its evaluated key), each edge carries its joint's log-density (the
+//! chain's prior correction), and a leaf holds the chain's end — the
+//! emitted world with its log-likelihood, a world the evidence rules out,
+//! or an exhausted budget.
+//!
 //! Sampling inside a group is **spec-major** via
 //! [`gdatalog_dist::ParamDist::sample_batch`]: parameters are evaluated
 //! once per spec (they are a function of the valuation, shared by the
@@ -66,7 +74,7 @@
 //! when their sampled values are the same points of the value domain —
 //! their futures are then provably identical.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -110,14 +118,14 @@ pub(crate) enum LaneObs {
 }
 
 /// One draw of a step: the family and its evaluated parameters.
-type Spec = (Arc<dyn ParamDist>, Vec<Value>);
+pub(crate) type Spec = (Arc<dyn ParamDist>, Vec<Value>);
 
 /// The memo stops recording once it holds this many cells: one per node,
 /// plus one per fact of a recorded world.
 const MEMO_CELLS: usize = 1 << 14;
 
 /// One node of the recorded chase tree.
-enum Node {
+pub(crate) enum Node {
     /// Reached, but not recorded: lanes arriving here are chased.
     Open,
     /// An existential step or parallel round whose draws are all
@@ -125,26 +133,47 @@ enum Node {
     /// node has few children (one per outcome path seen), so they are
     /// searched linearly.
     Draws {
+        /// The step's sampling site, as an index into the memo's site
+        /// table: recorded by the MH chain, `None` for lane groups.
+        site: Option<usize>,
         specs: Vec<Spec>,
-        children: Vec<(Vec<Value>, usize)>,
+        children: Vec<Edge>,
     },
     /// A terminal observation (never [`LaneObs::Failed`]).
     Leaf(LaneObs),
 }
 
-/// The chase tree one worker slot has recorded across the lane batches
-/// and passes of one evaluation (see the module docs). Node 0 is the root:
-/// the first step that draws, from the job's input.
+/// One child of a [`Node::Draws`]: a joint outcome of the node's draws.
+pub(crate) struct Edge {
+    pub(crate) joint: Vec<Value>,
+    /// The MH chain's log-density of the joint under the node's
+    /// parameters, summed in spec order: finite, and computed without
+    /// error, when recorded. Lane groups, which never read it, record 0.
+    pub(crate) log_density: f64,
+    pub(crate) node: usize,
+}
+
+/// A sampling site's address: the existential rule that fired and its
+/// evaluated key terms.
+pub(crate) type SiteKey = (usize, Tuple);
+
+/// The chase tree recorded across the lane batches and passes of one
+/// evaluation by one worker slot, or across the proposals of one MH
+/// chain (see the module docs). Node 0 is the root: the first step that
+/// draws, from the job's input.
 pub(crate) struct ChaseMemo {
     nodes: Vec<Node>,
     /// Nodes plus the facts of recorded worlds; see [`MEMO_CELLS`].
     cells: usize,
     /// Whether batches walk the memo and the group loop records into it.
     active: bool,
-    /// Paths the group loop chased to their end, and the steps or
-    /// rounds it ran.
+    /// The site table of the MH chain's nodes, and its index.
+    sites: Vec<SiteKey>,
+    site_ids: HashMap<SiteKey, usize>,
+    /// Paths the group loop chased to their end (for the MH chain:
+    /// proposals it chased), and the steps or rounds it ran.
     #[cfg(test)]
-    paths: usize,
+    pub(crate) paths: usize,
     #[cfg(test)]
     steps: usize,
 }
@@ -158,15 +187,63 @@ impl ChaseMemo {
             options.variant,
             ChaseVariant::Sequential(PolicyKind::Random { .. })
         );
+        ChaseMemo::with_active(options.batch > 1 && !random)
+    }
+
+    /// An empty memo for one MH chain, which always records.
+    pub(crate) fn chain() -> ChaseMemo {
+        ChaseMemo::with_active(true)
+    }
+
+    /// A memo that never records: the unshared reference of the MH chain.
+    #[cfg(test)]
+    pub(crate) fn unrecorded() -> ChaseMemo {
+        ChaseMemo::with_active(false)
+    }
+
+    fn with_active(active: bool) -> ChaseMemo {
         ChaseMemo {
             nodes: vec![Node::Open],
             cells: 1,
-            active: options.batch > 1 && !random,
+            active,
+            sites: Vec::new(),
+            site_ids: HashMap::new(),
             #[cfg(test)]
             paths: 0,
             #[cfg(test)]
             steps: 0,
         }
+    }
+
+    /// The root, when the memo records; `None` when it never does.
+    pub(crate) fn root(&self) -> Option<usize> {
+        self.active.then_some(0)
+    }
+
+    pub(crate) fn node(&self, node: usize) -> &Node {
+        &self.nodes[node]
+    }
+
+    /// Edge `edge` of recorded `node`.
+    pub(crate) fn edge(&self, node: usize, edge: usize) -> &Edge {
+        match &self.nodes[node] {
+            Node::Draws { children, .. } => &children[edge],
+            _ => unreachable!("an edge hangs off a recorded step"),
+        }
+    }
+
+    /// The site table's index of `key`, if a node records it.
+    pub(crate) fn find_site(&self, key: &SiteKey) -> Option<usize> {
+        self.site_ids.get(key).copied()
+    }
+
+    pub(crate) fn site(&self, site: usize) -> &SiteKey {
+        &self.sites[site]
+    }
+
+    /// How many sites the site table holds.
+    pub(crate) fn site_count(&self) -> usize {
+        self.sites.len()
     }
 
     /// Walks each lane of `range` from its run's seed down the recorded
@@ -205,25 +282,42 @@ impl ChaseMemo {
             match &self.nodes[node] {
                 Node::Open => return None,
                 Node::Leaf(obs) => return Some(obs),
-                Node::Draws { specs, children } => {
+                Node::Draws {
+                    specs, children, ..
+                } => {
                     joint.clear();
                     for (dist, params) in specs {
                         joint.push(dist.sample(params, rng).ok()?);
                     }
-                    node = children.iter().find(|(edge, _)| edge == joint)?.1;
+                    node = children.iter().find(|edge| edge.joint == *joint)?.node;
                 }
             }
         }
     }
 
-    /// Records `specs` at `node` if the node is open and every draw is
-    /// discrete; returns whether the group stays on the memo.
-    fn record_draws(&mut self, node: usize, specs: &mut Vec<Spec>) -> bool {
+    /// Records `specs` at `node`, and the MH chain's `site` in the site
+    /// table, if the node is open and every draw is discrete; returns
+    /// whether the run stays on the memo.
+    pub(crate) fn record_draws(
+        &mut self,
+        node: usize,
+        specs: &mut Vec<Spec>,
+        site: Option<&SiteKey>,
+    ) -> bool {
         match &self.nodes[node] {
             Node::Draws { .. } => true,
             Node::Open if specs.iter().all(|(dist, _)| dist.is_discrete()) => {
+                let site = site.map(|key| {
+                    let next = self.sites.len();
+                    let id = *self.site_ids.entry(key.clone()).or_insert(next);
+                    if id == next {
+                        self.sites.push(key.clone());
+                    }
+                    id
+                });
                 self.cells += specs.len();
                 self.nodes[node] = Node::Draws {
+                    site,
                     specs: std::mem::take(specs),
                     children: Vec::new(),
                 };
@@ -233,29 +327,47 @@ impl ChaseMemo {
         }
     }
 
-    /// The child of recorded `node` along `joint`, opened if new and the
-    /// memo has room.
-    fn child(&mut self, node: usize, joint: &[Value]) -> Option<usize> {
+    /// The index of recorded `node`'s edge along `joint`, whose
+    /// log-density is `log_density`; a new edge opens its child if the
+    /// density is finite and the memo has room.
+    pub(crate) fn follow(
+        &mut self,
+        node: usize,
+        joint: &[Value],
+        log_density: f64,
+    ) -> Option<usize> {
         let next = self.nodes.len();
         let full = self.cells >= MEMO_CELLS;
         let Node::Draws { children, .. } = &mut self.nodes[node] else {
-            unreachable!("a group on the memo sits at a recorded step")
+            unreachable!("a run on the memo sits at a recorded step")
         };
-        if let Some(&(_, child)) = children.iter().find(|(edge, _)| edge == joint) {
-            return Some(child);
+        if let Some(edge) = children.iter().position(|edge| edge.joint == joint) {
+            return Some(edge);
         }
-        if full {
+        if full || !log_density.is_finite() {
             return None;
         }
-        children.push((joint.to_vec(), next));
+        children.push(Edge {
+            joint: joint.to_vec(),
+            log_density,
+            node: next,
+        });
+        let edge = children.len() - 1;
         self.nodes.push(Node::Open);
         self.cells += 1;
-        Some(next)
+        Some(edge)
+    }
+
+    /// The child of recorded `node` along `joint`; see [`ChaseMemo::follow`].
+    /// Lane groups never read an edge's log-density, so they record 0.
+    fn child(&mut self, node: usize, joint: &[Value]) -> Option<usize> {
+        let edge = self.follow(node, joint, 0.0)?;
+        Some(self.edge(node, edge).node)
     }
 
     /// Records a group's terminal observation at its open `node`, unless
     /// it failed or its world does not fit.
-    fn record_leaf(&mut self, node: usize, obs: &LaneObs) {
+    pub(crate) fn record_leaf(&mut self, node: usize, obs: &LaneObs) {
         let size = match obs {
             LaneObs::World(world) | LaneObs::Weighted(world, _) => world.len(),
             LaneObs::Rejected | LaneObs::Budget => 0,
@@ -269,11 +381,23 @@ impl ChaseMemo {
 
     /// How many nodes hold a recorded step or leaf.
     #[cfg(test)]
-    fn recorded(&self) -> usize {
+    pub(crate) fn recorded(&self) -> usize {
         self.nodes
             .iter()
             .filter(|node| !matches!(node, Node::Open))
             .count()
+    }
+
+    /// The recorded leaves' observations.
+    #[cfg(test)]
+    pub(crate) fn leaves(&self) -> Vec<&LaneObs> {
+        self.nodes
+            .iter()
+            .filter_map(|node| match node {
+                Node::Leaf(obs) => Some(obs),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Drops a memo that recorded nothing during a batch and resolved
@@ -514,7 +638,9 @@ impl Group {
         } = draws;
         let (tags, joints) = partition(&outcomes, self.lanes.len());
         let at = match self.node {
-            Some(node) if !specs.is_empty() => memo.record_draws(node, &mut specs).then_some(node),
+            Some(node) if !specs.is_empty() => {
+                memo.record_draws(node, &mut specs, None).then_some(node)
+            }
             _ => None,
         };
         let stay = if specs.is_empty() { self.node } else { None };

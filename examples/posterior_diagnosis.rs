@@ -1,6 +1,7 @@
 //! Conditioning end-to-end: posterior diagnosis in a burglary-style
 //! network, with hard evidence, soft (likelihood) evidence, and the
-//! evidence/ESS diagnostics.
+//! evidence/ESS diagnostics, answered exactly, by likelihood-weighted
+//! Monte-Carlo and by Metropolis-Hastings.
 //!
 //! The model is the classic alarm network: earthquakes and burglaries
 //! both trigger alarms, and a noisy seismometer reads a continuous value
@@ -99,5 +100,21 @@ fn main() {
         diag.worlds, diag.ess
     );
     assert!((mc - q3).abs() < 0.05, "MC posterior tracks exact");
+
+    // ---- The same posterior by Metropolis-Hastings ----------------------
+    // A single-site chain over chase traces targets the posterior itself
+    // instead of reweighting prior samples. Its kept states are
+    // autocorrelated, so 20k of them carry the MC pass's tolerance.
+    let mh = session
+        .eval()
+        .mh(20_000)
+        .burn_in(2_000)
+        .seed(7)
+        .given("Alarm(h1).")
+        .given(seismo)
+        .marginal(&quake_fact)
+        .expect("ok");
+    println!("  (MH, 20k kept states: P(quake) = {mh:.4})");
+    assert!((mh - q3).abs() < 0.05, "MH posterior tracks exact");
     assert!(q2 > q && b2 < b, "a shared cause explains both alarms away");
 }

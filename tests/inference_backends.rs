@@ -372,3 +372,36 @@ fn mh_posterior_is_seed_reproducible_end_to_end() {
     let b = run();
     assert_eq!(a.to_bits(), b.to_bits(), "same seed, same chain, same bits");
 }
+
+/// The MH chain of the panel's first case, pinned bit for bit for two
+/// seeds: its posterior marginal and its acceptance rate. The values were
+/// measured on the chain that re-chased every proposal from the input, so
+/// a replay that walks recorded sites must reproduce that chain exactly.
+#[test]
+fn mh_chain_is_pinned_for_fixed_seeds() {
+    let case = &cases()[0];
+    let session = Session::from_source(case.program, SemanticsMode::Grohe).unwrap();
+    let fact = query_fact(&session, case.rel, case.args);
+    for (seed, marginal, rate) in [
+        (7u64, 0x3fe4_0c49_ba5e_353f_u64, 0x3fdf_8c59_25f2_bf8c_u64),
+        (0xBEEF, 0x3fe3_b439_5810_624e, 0x3fdf_b6c0_fe6f_12ea),
+    ] {
+        let (p, ev) = posterior(
+            session
+                .eval()
+                .mh(4_000)
+                .burn_in(500)
+                .thin(2)
+                .seed(seed)
+                .given(case.given),
+            &fact,
+        );
+        let accept = ev.accept_rate.expect("MH reports its acceptance rate");
+        assert_eq!(p.to_bits(), marginal, "seed {seed}: marginal {p}");
+        assert_eq!(
+            accept.to_bits(),
+            rate,
+            "seed {seed}: acceptance rate {accept}"
+        );
+    }
+}
