@@ -38,7 +38,7 @@ use gdatalog_lang::{CompiledObserve, CompiledProgram};
 use gdatalog_pdb::{DeficitKind, PossibleWorlds, WorldSink};
 
 use crate::applicability::PreparedProgram;
-use crate::exact::{enumerate_parallel_prepared, enumerate_sequential_prepared, ExactConfig};
+use crate::exact::{walk, Branching, ExactConfig};
 use crate::mc::ChaseVariant;
 use crate::mc_batch::ChaseMemo;
 use crate::observe;
@@ -289,44 +289,52 @@ pub(crate) fn existential_rule_ids(program: &CompiledProgram) -> Vec<usize> {
         .collect()
 }
 
-/// Feeds an enumerated world table into a sink, applying the output-schema
-/// projection unless `keep_aux`. Under conditioning (`observes` nonempty)
-/// every world is emitted in **log space** ([`WorldSink::observe_log`])
-/// with weight `ln p + log-likelihood` — finite even where the linear
-/// product `p · L` underflows `f64` — zero-weight worlds are filtered out,
-/// and deficit mass is dropped (the conditional is taken given
-/// termination); the stream carries the **unnormalized** conditional,
-/// which the evaluation terminals renormalize.
-fn feed_table(
-    program: &CompiledProgram,
-    table: PossibleWorlds,
-    keep_aux: bool,
-    observes: &[CompiledObserve],
+/// Walks the job's chase tree under `branching` into a world table and
+/// feeds the table into a sink, applying the output-schema projection
+/// unless `keep_aux`. Under conditioning (`observes` nonempty) every world
+/// is emitted in **log space** ([`WorldSink::observe_log`]) with weight
+/// `ln p + log-likelihood` — finite even where the linear product `p · L`
+/// underflows `f64` — zero-weight worlds are filtered out, and deficit
+/// mass is dropped (the conditional is taken given termination); the
+/// stream carries the **unnormalized** conditional, which the evaluation
+/// terminals renormalize.
+fn run_exact(
+    job: &EvalJob<'_>,
+    branching: Branching<'_>,
     sink: &mut dyn WorldSink,
 ) -> Result<(), EngineError> {
+    let (program, observes) = (job.program, job.observes);
+    let config = job.options.exact_config();
+    let table = walk(
+        program,
+        &job.plans(),
+        job.input,
+        branching,
+        config,
+        PossibleWorlds::new(),
+    )?;
     let deficit = table.deficit();
     for (world, p) in table.into_worlds() {
         if p == 0.0 {
             continue;
         }
-        if observes.is_empty() {
-            let world = if keep_aux {
-                world
-            } else {
-                program.project_output(&world)
-            };
-            sink.observe(world, p);
+        let lp = if observes.is_empty() {
+            None
         } else {
             let lp = p.ln() + observe::log_weight(observes, &world)?;
             if lp == f64::NEG_INFINITY {
                 continue;
             }
-            let world = if keep_aux {
-                world
-            } else {
-                program.project_output(&world)
-            };
-            sink.observe_log(world, lp);
+            Some(lp)
+        };
+        let world = if job.options.keep_aux {
+            world
+        } else {
+            program.project_output(&world)
+        };
+        match lp {
+            None => sink.observe(world, p),
+            Some(lp) => sink.observe_log(world, lp),
         }
     }
     if observes.is_empty() {
@@ -349,14 +357,7 @@ impl Backend for ExactSequentialBackend {
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
         let existential = existential_rule_ids(job.program);
         let mut policy = ChasePolicy::new(job.options.policy, &existential);
-        let table = enumerate_sequential_prepared(
-            job.program,
-            &job.plans(),
-            job.input,
-            &mut policy,
-            job.options.exact_config(),
-        )?;
-        feed_table(job.program, table, job.options.keep_aux, job.observes, sink)
+        run_exact(job, Branching::Sequential(&mut policy), sink)
     }
 }
 
@@ -371,13 +372,7 @@ impl Backend for ExactParallelBackend {
     }
 
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        let table = enumerate_parallel_prepared(
-            job.program,
-            &job.plans(),
-            job.input,
-            job.options.exact_config(),
-        )?;
-        feed_table(job.program, table, job.options.keep_aux, job.observes, sink)
+        run_exact(job, Branching::Parallel, sink)
     }
 }
 

@@ -12,14 +12,25 @@
 //!   parallel chase (Def. 5.2) are supported; Theorem 6.1/6.2 — which this
 //!   suite verifies rather than assumes — says they all yield the same
 //!   world table.
+//!
+//! The two chase trees differ only in how a node branches, so one node
+//! expansion (`expand`) serves both: the sequential rule fires the pair
+//! its policy selects, the parallel rule fires every applicable pair at
+//! once, sampling each distinct experiment once (see [`crate::parallel`]).
+//! One depth-first walk (`walk`) drives the expansion from the root and
+//! folds every node into a `TreeFold`: the world table here, the explicit
+//! [`crate::tree::ChaseTree`] in [`crate::tree`]. The step kernels of
+//! [`crate::kernel`] expand a single node.
 
+use std::collections::HashSet;
 use std::rc::Rc;
 
-use gdatalog_data::{Fact, Instance, Tuple, Value};
+use gdatalog_data::{Fact, Instance, Tuple};
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use gdatalog_pdb::PossibleWorlds;
 
-use crate::applicability::{eval_terms, AppPair, ChaseState, PreparedProgram};
+use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
+use crate::parallel::fires_in_round;
 use crate::policy::ChasePolicy;
 use crate::EngineError;
 
@@ -61,19 +72,24 @@ pub(crate) fn check_deadline(deadline: Option<std::time::Instant>) -> Result<(),
     }
 }
 
-/// The branches of firing one existential rule: every combination of
-/// outcomes of its samples, with its probability, plus truncated mass.
+/// The branches of firing `pair`: each fact it may insert (the head of a
+/// deterministic rule, or the auxiliary experiment fact — key, then one
+/// combination of outcomes of the samples) with its probability, plus the
+/// mass truncated from infinite supports.
 #[allow(clippy::type_complexity)]
-pub(crate) fn existential_branches(
+fn pair_branches(
     program: &CompiledProgram,
     pair: &AppPair,
     tol: f64,
-) -> Result<(Vec<(Vec<Value>, f64)>, f64), EngineError> {
-    let rule = &program.rules[pair.rule];
-    let RuleKind::Existential(e) = &rule.kind else {
-        unreachable!("existential_branches on deterministic rule");
+) -> Result<(Vec<(Fact, f64)>, f64), EngineError> {
+    let e = match &program.rules[pair.rule].kind {
+        RuleKind::Deterministic { head } => {
+            let values = head.args.iter().map(|t| eval_term(t, &pair.valuation));
+            return Ok((vec![(Fact::new(head.rel, values.collect()), 1.0)], 0.0));
+        }
+        RuleKind::Existential(e) => e,
     };
-    let mut combos: Vec<(Vec<Value>, f64)> = vec![(Vec::new(), 1.0)];
+    let mut combos = vec![(eval_terms(&e.key_terms, &pair.valuation), 1.0)];
     let mut tabulated = 1.0;
     for spec in &e.samples {
         let params = eval_terms(&spec.param_terms, &pair.valuation);
@@ -92,39 +108,219 @@ pub(crate) fn existential_branches(
         }
         combos = next;
     }
-    Ok((combos, (1.0 - tabulated).max(0.0)))
+    let facts = combos
+        .into_iter()
+        .map(|(values, p)| (Fact::new(e.aux_rel, Tuple::from(values)), p))
+        .collect();
+    Ok((facts, (1.0 - tabulated).max(0.0)))
 }
 
-/// The fact a fired branch of `pair` inserts: the head of a deterministic
-/// rule, or the auxiliary experiment fact (key, then `outcomes`).
-pub(crate) fn branch_fact(program: &CompiledProgram, pair: &AppPair, outcomes: &[Value]) -> Fact {
-    match &program.rules[pair.rule].kind {
-        RuleKind::Deterministic { head } => {
-            let tuple: Tuple = head
-                .args
-                .iter()
-                .map(|t| crate::applicability::eval_term(t, &pair.valuation))
-                .collect();
-            Fact::new(head.rel, tuple)
+/// How a node of a chase tree branches.
+pub(crate) enum Branching<'a> {
+    /// The sequential chase tree (Def. 4.2): the pair the policy selects
+    /// fires.
+    Sequential(&'a mut ChasePolicy),
+    /// The parallel chase tree (Def. 5.2): every applicable pair fires,
+    /// each distinct experiment sampled once.
+    Parallel,
+}
+
+/// One expanded node of a chase tree.
+pub(crate) struct Expansion {
+    /// Each child's fired facts, in firing order, with its one-step
+    /// probability.
+    pub(crate) children: Vec<(Vec<Fact>, f64)>,
+    /// One-step mass lost to truncating infinite supports.
+    pub(crate) truncated: f64,
+    /// The rule that fired (sequential branching only).
+    pub(crate) rule: Option<usize>,
+}
+
+/// Expands a node whose `App(D)` is the non-empty `app`: the children are
+/// the product of the outcome combinations of every pair that fires.
+///
+/// # Errors
+/// [`EngineError::Dist`] when a distribution's parameters are invalid or
+/// its support cannot be enumerated.
+pub(crate) fn expand(
+    program: &CompiledProgram,
+    app: &[AppPair],
+    branching: &mut Branching<'_>,
+    tol: f64,
+) -> Result<Expansion, EngineError> {
+    let (fires, rule) = match branching {
+        Branching::Sequential(policy) => {
+            let pair = &app[policy.select(app)];
+            (std::slice::from_ref(pair), Some(pair.rule))
         }
-        RuleKind::Existential(e) => {
-            let mut values = eval_terms(&e.key_terms, &pair.valuation);
-            values.extend(outcomes.iter().cloned());
-            Fact::new(e.aux_rel, Tuple::from(values))
+        Branching::Parallel => (app, None),
+    };
+    let mut children: Vec<(Vec<Fact>, f64)> = vec![(Vec::new(), 1.0)];
+    let mut truncated = 0.0;
+    let mut sampled = HashSet::new();
+    for pair in fires {
+        let fired = &program.rules[pair.rule];
+        // A parallel round samples each distinct experiment once.
+        if rule.is_none() && !fires_in_round(&mut sampled, fired, &pair.valuation) {
+            continue;
+        }
+        let (branches, lost) = pair_branches(program, pair, tol)?;
+        if lost > 0.0 {
+            // Truncated mass applies to every partial product.
+            truncated += children.iter().map(|(_, q)| q).sum::<f64>() * lost;
+        }
+        if let [(fact, b)] = &branches[..] {
+            // One branch (a deterministic pair): extend in place, no copy.
+            for (facts, q) in &mut children {
+                facts.push(fact.clone());
+                *q *= b;
+            }
+            continue;
+        }
+        let mut next = Vec::with_capacity(children.len() * branches.len());
+        for (facts, q) in &children {
+            for (fact, b) in &branches {
+                let mut ext = facts.clone();
+                ext.push(fact.clone());
+                next.push((ext, q * b));
+            }
+        }
+        children = next;
+    }
+    Ok(Expansion {
+        children,
+        truncated,
+        rule,
+    })
+}
+
+/// What a walk of a chase tree folds its nodes into: the world table, or
+/// the explicit [`crate::tree::ChaseTree`].
+pub(crate) trait TreeFold {
+    /// A handle on a node waiting to be visited.
+    type Node;
+
+    /// Opens the node reached from `parent` (`None` at the root) by a step
+    /// of probability `q`, with path probability `p`; `None` leaves the
+    /// node and its subtree unvisited.
+    fn open(&mut self, parent: Option<&Self::Node>, q: f64, p: f64) -> Option<Self::Node>;
+
+    /// A node that branches: `rule` fired (sequential trees only) and path
+    /// mass `lost` went to support truncation.
+    fn branch(&mut self, node: &Self::Node, instance: &Instance, rule: Option<usize>, lost: f64);
+
+    /// A leaf with path probability `p`: `terminated` when `App(D)` is
+    /// empty (a finite maximal path), otherwise cut by the depth budget or
+    /// `min_path_prob` (the `err` outcome).
+    fn leaf(&mut self, node: Self::Node, instance: Instance, p: f64, terminated: bool);
+}
+
+impl TreeFold for PossibleWorlds {
+    type Node = ();
+
+    fn open(&mut self, _: Option<&()>, _: f64, p: f64) -> Option<()> {
+        // A zero-mass path adds nothing to the table.
+        (p != 0.0).then_some(())
+    }
+
+    fn branch(&mut self, _: &(), _: &Instance, _: Option<usize>, lost: f64) {
+        self.add_truncation(lost);
+    }
+
+    fn leaf(&mut self, _: (), instance: Instance, p: f64, terminated: bool) {
+        if terminated {
+            self.add(instance, p);
+        } else {
+            self.add_nontermination(p);
         }
     }
 }
 
-/// Applies a fired branch of `pair` to a copy of `instance`.
-pub(crate) fn apply_branch(
+/// Walks the chase tree of `program` on `input` depth first, branching
+/// every node by `branching`, and folds the nodes into `fold`.
+///
+/// At every node the deadline is checked, then `App(D) = ∅` (a terminated
+/// leaf) before the depth budget and `min_path_prob` (a cut leaf), so a
+/// path absorbing exactly at the budget terminates.
+///
+/// # Errors
+/// [`EngineError::NotDiscrete`] naming the first continuous family,
+/// [`EngineError::DeadlineExceeded`] once `config.deadline` passes, and
+/// [`EngineError::Dist`] from [`expand`].
+pub(crate) fn walk<F: TreeFold>(
     program: &CompiledProgram,
-    pair: &AppPair,
-    outcomes: &[Value],
-    instance: &Instance,
-) -> Instance {
-    let mut next = instance.clone();
-    next.insert_fact(branch_fact(program, pair, outcomes));
-    next
+    prepared: &PreparedProgram,
+    input: &Instance,
+    mut branching: Branching<'_>,
+    config: ExactConfig,
+    mut fold: F,
+) -> Result<F, EngineError> {
+    require_discrete(program)?;
+    let mut stack = Vec::new();
+    if let Some(node) = fold.open(None, 1.0, 1.0) {
+        let root = Rc::new(ChaseState::new(prepared, program, input.clone()));
+        stack.push(Frame::new(node, root, Vec::new(), 1.0, 0));
+    }
+    while let Some(frame) = stack.pop() {
+        check_deadline(config.deadline)?;
+        let (node, p, depth) = (frame.node, frame.p, frame.depth);
+        let mut state = Rc::try_unwrap(frame.parent).unwrap_or_else(|rc| (*rc).clone());
+        for fact in frame.fired {
+            state.insert(prepared, fact.rel, fact.tuple);
+        }
+        let app = state.app(prepared, program);
+        if app.is_empty() {
+            fold.leaf(node, state.into_instance(), p, true);
+            continue;
+        }
+        if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
+            fold.leaf(node, state.into_instance(), p, false);
+            continue;
+        }
+        let Expansion {
+            children,
+            truncated,
+            rule,
+        } = expand(program, app, &mut branching, config.support_tol)?;
+        fold.branch(&node, state.instance(), rule, p * truncated);
+        let parent = Rc::new(state);
+        for (fired, q) in children {
+            if let Some(child) = fold.open(Some(&node), q, p * q) {
+                stack.push(Frame::new(
+                    child,
+                    Rc::clone(&parent),
+                    fired,
+                    p * q,
+                    depth + 1,
+                ));
+            }
+        }
+    }
+    Ok(fold)
+}
+
+/// One pending node of a walk: its parent's chase state and the facts the
+/// branch into it fired. The node's state is materialized when it is
+/// popped — the last sibling popped takes the parent's state without a
+/// copy.
+struct Frame<N> {
+    node: N,
+    parent: Rc<ChaseState>,
+    fired: Vec<Fact>,
+    p: f64,
+    depth: usize,
+}
+
+impl<N> Frame<N> {
+    fn new(node: N, parent: Rc<ChaseState>, fired: Vec<Fact>, p: f64, depth: usize) -> Self {
+        Frame {
+            node,
+            parent,
+            fired,
+            p,
+            depth,
+        }
+    }
 }
 
 /// Exact **sequential** enumeration under an arbitrary chase policy.
@@ -139,100 +335,15 @@ pub fn enumerate_sequential(
     config: ExactConfig,
 ) -> Result<PossibleWorlds, EngineError> {
     let prepared = PreparedProgram::new(program);
-    enumerate_sequential_prepared(program, &prepared, input, policy, config)
-}
-
-/// [`enumerate_sequential`] against caller-held chase plans, the serving
-/// fast path: a cached program's [`PreparedProgram`] is built once and
-/// reused across requests instead of being re-planned per call.
-///
-/// # Errors
-/// Same as [`enumerate_sequential`].
-pub fn enumerate_sequential_prepared(
-    program: &CompiledProgram,
-    prepared: &PreparedProgram,
-    input: &Instance,
-    policy: &mut ChasePolicy,
-    config: ExactConfig,
-) -> Result<PossibleWorlds, EngineError> {
-    require_discrete(program)?;
-    let mut worlds = PossibleWorlds::new();
-    // DFS over frames; each child materializes its state from its parent's
-    // (index and cached App(D) included) plus the fact its branch fired.
-    let mut stack = vec![Frame::root(prepared, program, input)];
-    while let Some(frame) = stack.pop() {
-        check_deadline(config.deadline)?;
-        if frame.p == 0.0 {
-            continue;
-        }
-        let (p, depth) = (frame.p, frame.depth);
-        let mut state = frame.into_state(prepared);
-        let app = state.app(prepared, program);
-        if app.is_empty() {
-            worlds.add(state.into_instance(), p);
-            continue;
-        }
-        if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
-            worlds.add_nontermination(p);
-            continue;
-        }
-        let pair = app[policy.select(app)].clone();
-        let branches = match &program.rules[pair.rule].kind {
-            RuleKind::Deterministic { .. } => vec![(Vec::new(), 1.0)],
-            RuleKind::Existential(_) => {
-                let (branches, truncated) =
-                    existential_branches(program, &pair, config.support_tol)?;
-                worlds.add_truncation(p * truncated);
-                branches
-            }
-        };
-        let parent = Rc::new(state);
-        for (outcomes, q) in branches {
-            stack.push(Frame {
-                parent: Rc::clone(&parent),
-                fired: vec![branch_fact(program, &pair, &outcomes)],
-                p: p * q,
-                depth: depth + 1,
-            });
-        }
-    }
-    Ok(worlds)
-}
-
-/// One pending node of an exact enumeration: its parent's chase state and
-/// the facts the branch into it fired. The state is materialized when the
-/// node is popped — the last sibling popped takes the parent's state
-/// without a copy.
-pub(crate) struct Frame {
-    pub(crate) parent: Rc<ChaseState>,
-    pub(crate) fired: Vec<Fact>,
-    pub(crate) p: f64,
-    pub(crate) depth: usize,
-}
-
-impl Frame {
-    /// The root node: `input` with a fresh index and cache.
-    pub(crate) fn root(
-        prepared: &PreparedProgram,
-        program: &CompiledProgram,
-        input: &Instance,
-    ) -> Frame {
-        Frame {
-            parent: Rc::new(ChaseState::new(prepared, program, input.clone())),
-            fired: Vec::new(),
-            p: 1.0,
-            depth: 0,
-        }
-    }
-
-    /// The node's own state: the parent's with the fired facts inserted.
-    pub(crate) fn into_state(self, prepared: &PreparedProgram) -> ChaseState {
-        let mut state = Rc::try_unwrap(self.parent).unwrap_or_else(|rc| (*rc).clone());
-        for fact in self.fired {
-            state.insert(prepared, fact.rel, fact.tuple);
-        }
-        state
-    }
+    let branching = Branching::Sequential(policy);
+    walk(
+        program,
+        &prepared,
+        input,
+        branching,
+        config,
+        PossibleWorlds::new(),
+    )
 }
 
 /// Exact **parallel** enumeration (Def. 5.2): at every node all applicable
@@ -248,120 +359,31 @@ pub fn enumerate_parallel(
     config: ExactConfig,
 ) -> Result<PossibleWorlds, EngineError> {
     let prepared = PreparedProgram::new(program);
-    enumerate_parallel_prepared(program, &prepared, input, config)
+    let branching = Branching::Parallel;
+    walk(
+        program,
+        &prepared,
+        input,
+        branching,
+        config,
+        PossibleWorlds::new(),
+    )
 }
 
-/// [`enumerate_parallel`] against caller-held chase plans (see
-/// [`enumerate_sequential_prepared`]).
-///
-/// # Errors
-/// Same as [`enumerate_sequential`].
-pub fn enumerate_parallel_prepared(
-    program: &CompiledProgram,
-    prepared: &PreparedProgram,
-    input: &Instance,
-    config: ExactConfig,
-) -> Result<PossibleWorlds, EngineError> {
-    require_discrete(program)?;
-    let mut worlds = PossibleWorlds::new();
-    let mut stack = vec![Frame::root(prepared, program, input)];
-    while let Some(frame) = stack.pop() {
-        check_deadline(config.deadline)?;
-        if frame.p == 0.0 {
-            continue;
-        }
-        let (p, depth) = (frame.p, frame.depth);
-        let mut state = frame.into_state(prepared);
-        let app = state.app(prepared, program);
-        if app.is_empty() {
-            worlds.add(state.into_instance(), p);
-            continue;
-        }
-        if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
-            worlds.add_nontermination(p);
-            continue;
-        }
-        let (children, truncated) = parallel_round(program, app, config)?;
-        worlds.add_truncation(p * truncated);
-        let parent = Rc::new(state);
-        for (fired, q) in children {
-            stack.push(Frame {
-                parent: Rc::clone(&parent),
-                fired,
-                p: p * q,
-                depth: depth + 1,
-            });
-        }
-    }
-    Ok(worlds)
-}
-
-/// Expands one parallel round (all applicable pairs fire) into the fact
-/// sets of the follow-up instances with their probabilities, plus
-/// truncated mass. `app` must be the (non-empty) `App(D)` of the instance
-/// the round starts from.
-#[allow(clippy::type_complexity)]
-pub(crate) fn parallel_round(
-    program: &CompiledProgram,
-    app: &[AppPair],
-    config: ExactConfig,
-) -> Result<(Vec<(Vec<Fact>, f64)>, f64), EngineError> {
-    // Accumulate follow-up fact sets as a product over pairs.
-    let mut frontier: Vec<(Vec<Fact>, f64)> = vec![(Vec::new(), 1.0)];
-    let mut truncated_total = 0.0;
-    let mut experiments_done: Vec<(gdatalog_data::RelId, Vec<Value>)> = Vec::new();
-    for pair in app {
-        match &program.rules[pair.rule].kind {
-            RuleKind::Deterministic { .. } => {
-                let fact = branch_fact(program, pair, &[]);
-                for (facts, _) in &mut frontier {
-                    facts.push(fact.clone());
-                }
-            }
-            RuleKind::Existential(e) => {
-                let key = eval_terms(&e.key_terms, &pair.valuation);
-                let exp_id = (e.aux_rel, key);
-                if experiments_done.contains(&exp_id) {
-                    continue; // shared experiment already sampled this round
-                }
-                experiments_done.push(exp_id);
-                let (branches, truncated) =
-                    existential_branches(program, pair, config.support_tol)?;
-                // Truncated mass applies to every partial product.
-                let partial_mass: f64 = frontier.iter().map(|(_, q)| q).sum();
-                truncated_total += partial_mass * truncated;
-                let mut next = Vec::with_capacity(frontier.len() * branches.len());
-                for (facts, q) in &frontier {
-                    for (outcomes, b) in &branches {
-                        let mut ext = facts.clone();
-                        ext.push(branch_fact(program, pair, outcomes));
-                        next.push((ext, q * b));
-                    }
-                }
-                frontier = next;
-            }
-        }
-    }
-    Ok((frontier, truncated_total))
-}
-
-fn require_discrete(program: &CompiledProgram) -> Result<(), EngineError> {
-    if program.all_discrete() {
-        Ok(())
-    } else {
-        let name = program
-            .rules
-            .iter()
-            .find_map(|r| match &r.kind {
-                RuleKind::Existential(e) => e
-                    .samples
-                    .iter()
-                    .find(|s| !s.dist.is_discrete())
-                    .map(|s| s.dist.name().to_string()),
-                RuleKind::Deterministic { .. } => None,
-            })
-            .unwrap_or_else(|| "<unknown>".to_string());
-        Err(EngineError::NotDiscrete(name))
+/// [`EngineError::NotDiscrete`] naming the program's first continuous
+/// family, if it has one.
+pub(crate) fn require_discrete(program: &CompiledProgram) -> Result<(), EngineError> {
+    let continuous = program
+        .rules
+        .iter()
+        .filter_map(|r| match &r.kind {
+            RuleKind::Existential(e) => e.samples.iter().find(|s| !s.dist.is_discrete()),
+            RuleKind::Deterministic { .. } => None,
+        })
+        .next();
+    match continuous {
+        Some(spec) => Err(EngineError::NotDiscrete(spec.dist.name().to_string())),
+        None => Ok(()),
     }
 }
 

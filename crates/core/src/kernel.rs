@@ -11,13 +11,18 @@
 //! Iterating the sampling view from an initial instance *is* the Markov
 //! process whose push-forward along `lim-inst` defines the program's SPDB
 //! semantics (Thm. 4.8/5.5).
+//!
+//! The branching view is one node of a chase tree: both kernels expand
+//! `D` through the node expansion that exact enumeration and
+//! [`crate::tree`] walk ([`crate::exact`]), under the sequential or the
+//! parallel branching rule.
 
 use gdatalog_data::Instance;
-use gdatalog_lang::{CompiledProgram, RuleKind};
+use gdatalog_lang::CompiledProgram;
 use rand::Rng;
 
 use crate::applicability::PreparedProgram;
-use crate::exact::ExactConfig;
+use crate::exact::{expand, require_discrete, Branching, ExactConfig};
 use crate::policy::ChasePolicy;
 use crate::sequential::fire;
 use crate::EngineError;
@@ -103,34 +108,8 @@ impl StepKernel for SequentialKernel<'_> {
         instance: &Instance,
         config: ExactConfig,
     ) -> Result<Option<(Vec<(Instance, f64)>, f64)>, EngineError> {
-        let index = self.prepared.new_index(instance);
-        let app = self
-            .prepared
-            .applicable_pairs(self.program, instance, &index);
-        if app.is_empty() {
-            return Ok(None);
-        }
-        let pair = app[self.policy.select(&app)].clone();
-        match &self.program.rules[pair.rule].kind {
-            RuleKind::Deterministic { .. } => {
-                let next = crate::exact::apply_branch(self.program, &pair, &[], instance);
-                Ok(Some((vec![(next, 1.0)], 0.0)))
-            }
-            RuleKind::Existential(_) => {
-                let (branches, truncated) =
-                    crate::exact::existential_branches(self.program, &pair, config.support_tol)?;
-                let out = branches
-                    .into_iter()
-                    .map(|(outcomes, p)| {
-                        (
-                            crate::exact::apply_branch(self.program, &pair, &outcomes, instance),
-                            p,
-                        )
-                    })
-                    .collect();
-                Ok(Some((out, truncated)))
-            }
-        }
+        let branching = Branching::Sequential(&mut self.policy);
+        branch_table(self.program, &self.prepared, instance, branching, config)
     }
 
     fn name(&self) -> &'static str {
@@ -168,30 +147,45 @@ impl StepKernel for ParallelKernel<'_> {
         instance: &Instance,
         config: ExactConfig,
     ) -> Result<Option<(Vec<(Instance, f64)>, f64)>, EngineError> {
-        let index = self.prepared.new_index(instance);
-        let app = self
-            .prepared
-            .applicable_pairs(self.program, instance, &index);
-        if app.is_empty() {
-            return Ok(None);
-        }
-        let (children, truncated) = crate::exact::parallel_round(self.program, &app, config)?;
-        let children = children
-            .into_iter()
-            .map(|(facts, q)| {
-                let mut next = instance.clone();
-                for fact in facts {
-                    next.insert_fact(fact);
-                }
-                (next, q)
-            })
-            .collect();
-        Ok(Some((children, truncated)))
+        let branching = Branching::Parallel;
+        branch_table(self.program, &self.prepared, instance, branching, config)
     }
 
     fn name(&self) -> &'static str {
         "parallel"
     }
+}
+
+/// `step(D, ·)` as an explicit table: `instance` extended by each child of
+/// its chase-tree expansion, with the truncated mass; `None` when
+/// `instance` is absorbing.
+#[allow(clippy::type_complexity)]
+fn branch_table(
+    program: &CompiledProgram,
+    prepared: &PreparedProgram,
+    instance: &Instance,
+    mut branching: Branching<'_>,
+    config: ExactConfig,
+) -> Result<Option<(Vec<(Instance, f64)>, f64)>, EngineError> {
+    require_discrete(program)?;
+    let index = prepared.new_index(instance);
+    let app = prepared.applicable_pairs(program, instance, &index);
+    if app.is_empty() {
+        return Ok(None);
+    }
+    let expansion = expand(program, &app, &mut branching, config.support_tol)?;
+    let children = expansion
+        .children
+        .into_iter()
+        .map(|(facts, q)| {
+            let mut next = instance.clone();
+            for fact in facts {
+                next.insert_fact(fact);
+            }
+            (next, q)
+        })
+        .collect();
+    Ok(Some((children, expansion.truncated)))
 }
 
 #[cfg(test)]
@@ -237,6 +231,20 @@ mod tests {
         assert_eq!(branches.len(), 2);
         let total: f64 = branches.iter().map(|(_, p)| p).sum();
         assert!((total + truncated - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn continuous_program_branching_names_the_family() {
+        let prog = compile("X(Normal<0.0, 1.0>) :- true.");
+        let mut k = SequentialKernel::new(&prog, ChasePolicy::new(PolicyKind::Canonical, &[]));
+        let err = k
+            .branch_step(&prog.initial_instance, ExactConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, EngineError::NotDiscrete(name) if name == "Normal"));
+        let err = ParallelKernel::new(&prog)
+            .branch_step(&prog.initial_instance, ExactConfig::default())
+            .unwrap_err();
+        assert!(matches!(err, EngineError::NotDiscrete(name) if name == "Normal"));
     }
 
     #[test]

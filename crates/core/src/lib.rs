@@ -66,10 +66,7 @@ pub use backend::{
     RunBudget,
 };
 pub use engine::{Engine, EngineError};
-pub use exact::{
-    enumerate_parallel, enumerate_parallel_prepared, enumerate_sequential,
-    enumerate_sequential_prepared, ExactConfig,
-};
+pub use exact::{enumerate_parallel, enumerate_sequential, ExactConfig};
 pub use fingerprint::source_fingerprint;
 pub use kernel::{ParallelKernel, SequentialKernel, StepKernel};
 pub use mc::ChaseVariant;

@@ -789,12 +789,6 @@ fn chase_lanes(
 
     while let Some(mut group) = worklist.pop() {
         let obs = loop {
-            // The parallel loop checks its round budget before App(D): a
-            // run absorbing exactly at the budget is exhausted there, while
-            // the sequential loops count it as terminated.
-            if variant == ChaseVariant::Parallel && group.steps >= options.max_depth {
-                break LaneObs::Budget;
-            }
             if group.state.app(prepared, program).is_empty() {
                 // Terminated: project once, share across the group.
                 let world = if options.keep_aux {
@@ -1061,10 +1055,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_run_absorbing_at_the_round_budget_is_exhausted() {
+    fn parallel_run_absorbing_at_the_round_budget_terminates() {
         // Round 1 samples R's experiment, round 2 delivers R, round 3
         // derives S: the parallel run is absorbing after exactly 3 rounds,
-        // and the sequential run after exactly 3 steps.
+        // and the sequential run after exactly 3 steps. Both test App(D)
+        // before the budget, so both terminate at budget 3.
         let src = "R(Flip<0.5>) :- true. S(X) :- R(X).";
         let program = compile(src, SemanticsMode::Grohe);
         let lanes = |variant, max_depth| {
@@ -1078,9 +1073,12 @@ mod tests {
         };
         let parallel = ChaseVariant::Parallel;
         let canonical = ChaseVariant::Sequential(PolicyKind::Canonical);
-        assert!(lanes(parallel, 3)
+        assert!(lanes(parallel, 2)
             .iter()
             .all(|o| matches!(o, LaneObs::Budget)));
+        assert!(lanes(parallel, 3)
+            .iter()
+            .all(|o| matches!(o, LaneObs::World(_))));
         assert!(lanes(parallel, 4)
             .iter()
             .all(|o| matches!(o, LaneObs::World(_))));

@@ -98,7 +98,9 @@ pub fn parallel_step_prepared(
 }
 
 /// Runs the parallel chase until no rule is applicable or `max_rounds`
-/// parallel steps have been performed.
+/// parallel steps have been performed. `App(D)` is tested before the
+/// round budget, as in the sequential chase and exact enumeration: a run
+/// that becomes absorbing after exactly `max_rounds` rounds terminates.
 ///
 /// # Errors
 /// Propagates runtime distribution-parameter failures.
@@ -135,14 +137,15 @@ pub fn run_parallel_prepared(
     let mut trace = Vec::new();
     let mut sampled = HashSet::new();
     let outcome = loop {
+        let app = state.app(prepared, program);
+        if app.is_empty() {
+            break RunOutcome::Terminated;
+        }
         if rounds >= max_rounds {
             break RunOutcome::BudgetExhausted;
         }
         // The round inserts while it walks the pairs, so it walks a copy.
-        let app = state.app(prepared, program).to_vec();
-        if app.is_empty() {
-            break RunOutcome::Terminated;
-        }
+        let app = app.to_vec();
         // Fire every applicable pair of this round, sampling each distinct
         // experiment once (see module docs).
         sampled.clear();

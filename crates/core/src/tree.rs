@@ -2,21 +2,22 @@
 //! programs: nodes labelled with instances, edges with the probabilities of
 //! the chase-step measure, leaves marked as terminated or budget-cut.
 //!
-//! The tree is primarily a pedagogical/diagnostic artifact (the engine
-//! proper enumerates without materializing it); it regenerates Figure 1's
-//! picture — finite maximal paths mapping to instances, budget-cut paths
-//! mapping to `err` — as a path census and a DOT rendering.
-
-use std::rc::Rc;
+//! The tree is primarily a pedagogical/diagnostic artifact; it regenerates
+//! Figure 1's picture — finite maximal paths mapping to instances,
+//! budget-cut paths mapping to `err` — as a path census and a DOT
+//! rendering. It is built by the walk that exact enumeration folds into a
+//! world table ([`crate::exact`]), so a tree and its table agree node for
+//! node: the same expansion, deadline check, budget and `min_path_prob`
+//! cuts, and truncation accounting. Unlike the table, the tree keeps
+//! zero-probability children.
 
 use gdatalog_data::{Catalog, Instance};
 use gdatalog_lang::CompiledProgram;
 
 use crate::applicability::PreparedProgram;
-use crate::exact::{branch_fact, existential_branches, ExactConfig, Frame};
+use crate::exact::{walk, Branching, ExactConfig, TreeFold};
 use crate::policy::ChasePolicy;
 use crate::EngineError;
-use gdatalog_lang::RuleKind;
 
 /// One node of a chase tree.
 #[derive(Debug, Clone)]
@@ -124,88 +125,65 @@ impl ChaseTree {
 }
 
 /// Builds the explicit sequential chase tree of a **discrete** program
-/// under `policy`, cutting paths at `config.max_depth`.
+/// under `policy`, cutting paths at `config.max_depth` (and below
+/// `config.min_path_prob`). Nodes are numbered in creation order: a node's
+/// children are created together when it branches, zero-probability
+/// children included.
 ///
 /// # Errors
-/// [`EngineError::NotDiscrete`] for continuous programs.
+/// [`EngineError::NotDiscrete`] naming the first continuous family,
+/// [`EngineError::DeadlineExceeded`] once `config.deadline` passes, and
+/// [`EngineError::Dist`] on runtime parameter failures.
 pub fn build_chase_tree(
     program: &CompiledProgram,
     input: &Instance,
     policy: &mut ChasePolicy,
     config: ExactConfig,
 ) -> Result<ChaseTree, EngineError> {
-    if !program.all_discrete() {
-        return Err(EngineError::NotDiscrete(
-            "chase trees are materialized for discrete programs only".to_string(),
-        ));
-    }
-    let mut tree = ChaseTree {
-        nodes: vec![ChaseNode {
-            instance: Instance::new(),
-            parent: None,
-            path_probability: 1.0,
-            children: Vec::new(),
-            fired_rule: None,
-            depth: 0,
-            terminated: false,
-            cut: false,
-        }],
+    let prepared = PreparedProgram::new(program);
+    let branching = Branching::Sequential(policy);
+    let tree = ChaseTree {
+        nodes: Vec::new(),
         truncated_mass: 0.0,
     };
-    let prepared = PreparedProgram::new(program);
-    // Frontier entries pair a node with the frame its state comes from
-    // (the parent's state plus the fired fact); a node's instance is
-    // filled in when it is popped.
-    let mut frontier = vec![(0usize, Frame::root(&prepared, program, input))];
-    while let Some((ix, frame)) = frontier.pop() {
-        let (p, depth) = (frame.p, frame.depth);
-        let mut state = frame.into_state(&prepared);
-        let app = state.app(&prepared, program);
-        if app.is_empty() {
-            tree.nodes[ix].terminated = true;
-            tree.nodes[ix].instance = state.into_instance();
-            continue;
+    walk(program, &prepared, input, branching, config, tree)
+}
+
+/// The walk fills in each node's instance when it visits the node.
+impl TreeFold for ChaseTree {
+    type Node = usize;
+
+    fn open(&mut self, parent: Option<&usize>, q: f64, p: f64) -> Option<usize> {
+        let ix = self.nodes.len();
+        let depth = parent.map_or(0, |&parent| self.nodes[parent].depth + 1);
+        self.nodes.push(ChaseNode {
+            instance: Instance::new(),
+            parent: parent.copied(),
+            path_probability: p,
+            children: Vec::new(),
+            fired_rule: None,
+            depth,
+            terminated: false,
+            cut: false,
+        });
+        if let Some(&parent) = parent {
+            self.nodes[parent].children.push((ix, q));
         }
-        if depth >= config.max_depth || (config.min_path_prob > 0.0 && p < config.min_path_prob) {
-            tree.nodes[ix].cut = true;
-            tree.nodes[ix].instance = state.into_instance();
-            continue;
-        }
-        let pair = app[policy.select(app)].clone();
-        tree.nodes[ix].fired_rule = Some(pair.rule);
-        tree.nodes[ix].instance = state.instance().clone();
-        let branches: Vec<(Vec<gdatalog_data::Value>, f64)> = match &program.rules[pair.rule].kind {
-            RuleKind::Deterministic { .. } => vec![(Vec::new(), 1.0)],
-            RuleKind::Existential(_) => {
-                let (bs, truncated) = existential_branches(program, &pair, config.support_tol)?;
-                tree.truncated_mass += p * truncated;
-                bs
-            }
-        };
-        let parent = Rc::new(state);
-        for (outcomes, q) in branches {
-            let cix = tree.nodes.len();
-            tree.nodes.push(ChaseNode {
-                instance: Instance::new(),
-                parent: Some(ix),
-                path_probability: p * q,
-                children: Vec::new(),
-                fired_rule: None,
-                depth: depth + 1,
-                terminated: false,
-                cut: false,
-            });
-            tree.nodes[ix].children.push((cix, q));
-            let frame = Frame {
-                parent: Rc::clone(&parent),
-                fired: vec![branch_fact(program, &pair, &outcomes)],
-                p: p * q,
-                depth: depth + 1,
-            };
-            frontier.push((cix, frame));
-        }
+        Some(ix)
     }
-    Ok(tree)
+
+    fn branch(&mut self, &ix: &usize, instance: &Instance, rule: Option<usize>, lost: f64) {
+        self.nodes[ix].instance = instance.clone();
+        self.nodes[ix].fired_rule = rule;
+        self.truncated_mass += lost;
+    }
+
+    fn leaf(&mut self, ix: usize, instance: Instance, _: f64, terminated: bool) {
+        let node = &mut self.nodes[ix];
+        node.instance = instance;
+        node.terminated = terminated;
+        node.cut = !terminated;
+    }
 }
 
 #[cfg(test)]
@@ -278,12 +256,40 @@ mod tests {
     fn continuous_program_rejected() {
         let prog = compile("X(Normal<0.0, 1.0>) :- true.");
         let mut policy = ChasePolicy::new(PolicyKind::Canonical, &[]);
-        assert!(build_chase_tree(
+        let err = build_chase_tree(
             &prog,
             &prog.initial_instance,
             &mut policy,
-            ExactConfig::default()
+            ExactConfig::default(),
         )
-        .is_err());
+        .unwrap_err();
+        assert!(matches!(err, EngineError::NotDiscrete(name) if name == "Normal"));
+    }
+
+    /// An already-elapsed deadline cancels the tree's construction.
+    #[test]
+    fn elapsed_deadline_cancels_the_tree() {
+        let prog = compile("R(Flip<0.5>) :- true.");
+        let cfg = ExactConfig {
+            deadline: Some(std::time::Instant::now()),
+            ..ExactConfig::default()
+        };
+        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &[]);
+        let err = build_chase_tree(&prog, &prog.initial_instance, &mut policy, cfg).unwrap_err();
+        assert!(matches!(err, EngineError::DeadlineExceeded));
+    }
+
+    /// A generous deadline does not perturb the tree.
+    #[test]
+    fn future_deadline_is_inert_on_the_tree() {
+        let prog = compile("R(Flip<0.5>) :- true.");
+        let cfg = ExactConfig {
+            deadline: Some(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
+            ..ExactConfig::default()
+        };
+        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &[]);
+        let tree = build_chase_tree(&prog, &prog.initial_instance, &mut policy, cfg).unwrap();
+        assert_eq!(tree.nodes.len(), 5);
+        assert_eq!(tree.leaves().count(), 2);
     }
 }

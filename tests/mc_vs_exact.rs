@@ -103,3 +103,44 @@ fn empirical_mass_estimates_spdb_mass() {
         "MC mass {mc_mass} below exact lower bound {lower}"
     );
 }
+
+/// A run that becomes absorbing exactly at the round budget terminates in
+/// every chase: Monte-Carlo Parallel, Monte-Carlo sequential and exact
+/// parallel enumeration agree on the world mass at every budget.
+#[test]
+fn parallel_mc_mass_matches_exact_parallel_at_each_budget() {
+    // Absorbing after 2 rounds, and after 3 rounds.
+    for src in [
+        "R(Flip<0.5>) :- true.",
+        "R(Flip<0.5>) :- true. S(X) :- R(X).",
+    ] {
+        let engine = Engine::from_source(src, SemanticsMode::Grohe).unwrap();
+        for budget in 1..=3 {
+            let exact = engine
+                .eval()
+                .exact_parallel()
+                .max_depth(budget)
+                .worlds()
+                .unwrap()
+                .mass();
+            for variant in [
+                ChaseVariant::Parallel,
+                ChaseVariant::Sequential(PolicyKind::Canonical),
+            ] {
+                let mc = engine
+                    .eval()
+                    .sample(1000)
+                    .seed(5)
+                    .variant(variant)
+                    .max_depth(budget)
+                    .pdb()
+                    .unwrap()
+                    .mass();
+                assert!(
+                    (mc - exact).abs() < 1e-9,
+                    "{src} at budget {budget} under {variant:?}: MC {mc}, exact {exact}"
+                );
+            }
+        }
+    }
+}
