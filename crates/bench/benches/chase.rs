@@ -1,7 +1,7 @@
 //! P2 — chase throughput: Monte-Carlo runs per second on the burglary
 //! network (Ex. 3.4), comparing the sequential chase, the parallel chase,
-//! and the saturation-accelerated chase (the DESIGN.md ablation for
-//! "saturate deterministic rules with the semi-naive engine").
+//! and the saturation-accelerated chase — the ablation for saturating
+//! deterministic rules with the semi-naive engine (`saturate.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdatalog_bench::burglary_program;

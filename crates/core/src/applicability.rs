@@ -20,9 +20,9 @@
 //! the rule depends on. [`applicable_pairs`] stays the from-scratch
 //! definition and the oracle the cache is tested against.
 
-use gdatalog_data::{Instance, RelId, Tuple, Value};
+use gdatalog_data::{Fact, Instance, RelId, Tuple, Value};
 use gdatalog_datalog::{
-    BodyPlan, Delta, IndexSpecs, InstanceIndex, PlannedProgram, Term as DlTerm,
+    Atom as DlAtom, BodyPlan, Delta, IndexSpecs, InstanceIndex, PlannedProgram, Term as DlTerm,
 };
 use gdatalog_lang::{CompiledProgram, RuleKind};
 
@@ -48,6 +48,13 @@ pub(crate) fn eval_term(term: &DlTerm, valuation: &Tuple) -> Value {
 /// Evaluates a list of terms under a valuation.
 pub(crate) fn eval_terms(terms: &[DlTerm], valuation: &Tuple) -> Vec<Value> {
     terms.iter().map(|t| eval_term(t, valuation)).collect()
+}
+
+/// The fact a deterministic rule with head `head` derives under
+/// `valuation`.
+pub(crate) fn head_fact(head: &DlAtom, valuation: &Tuple) -> Fact {
+    let tuple = head.args.iter().map(|t| eval_term(t, valuation)).collect();
+    Fact::new(head.rel, tuple)
 }
 
 /// Completes a body-match binding into a total valuation tuple.

@@ -29,7 +29,7 @@ use gdatalog_data::{Fact, Instance, Tuple};
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use gdatalog_pdb::PossibleWorlds;
 
-use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
+use crate::applicability::{eval_terms, head_fact, AppPair, ChaseState, PreparedProgram};
 use crate::parallel::fires_in_round;
 use crate::policy::ChasePolicy;
 use crate::EngineError;
@@ -84,8 +84,7 @@ fn pair_branches(
 ) -> Result<(Vec<(Fact, f64)>, f64), EngineError> {
     let e = match &program.rules[pair.rule].kind {
         RuleKind::Deterministic { head } => {
-            let values = head.args.iter().map(|t| eval_term(t, &pair.valuation));
-            return Ok((vec![(Fact::new(head.rel, values.collect()), 1.0)], 0.0));
+            return Ok((vec![(head_fact(head, &pair.valuation), 1.0)], 0.0));
         }
         RuleKind::Existential(e) => e,
     };
@@ -115,7 +114,7 @@ fn pair_branches(
     Ok((facts, (1.0 - tabulated).max(0.0)))
 }
 
-/// How a node of a chase tree branches.
+/// How a node of a chase tree branches, and a chase steps.
 pub(crate) enum Branching<'a> {
     /// The sequential chase tree (Def. 4.2): the pair the policy selects
     /// fires.
@@ -123,6 +122,32 @@ pub(crate) enum Branching<'a> {
     /// The parallel chase tree (Def. 5.2): every applicable pair fires,
     /// each distinct experiment sampled once.
     Parallel,
+}
+
+impl Branching<'_> {
+    /// Calls `fire` on each pair of the non-empty `app` that fires at a
+    /// node, in firing order: the pair the policy selects, or every pair
+    /// of a parallel round but a repeated experiment (see
+    /// [`crate::parallel`]). The one selection of every chase: the tree
+    /// walk here, and each driver of [`crate::sequential::Chase`].
+    pub(crate) fn select<'a>(
+        &mut self,
+        program: &CompiledProgram,
+        app: &'a [AppPair],
+        mut fire: impl FnMut(&'a AppPair),
+    ) {
+        match self {
+            Branching::Sequential(policy) => fire(&app[policy.select(app)]),
+            Branching::Parallel => {
+                let mut sampled = HashSet::new();
+                for pair in app {
+                    if fires_in_round(&mut sampled, &program.rules[pair.rule], &pair.valuation) {
+                        fire(pair);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// One expanded node of a chase tree.
@@ -148,22 +173,15 @@ pub(crate) fn expand(
     branching: &mut Branching<'_>,
     tol: f64,
 ) -> Result<Expansion, EngineError> {
-    let (fires, rule) = match branching {
-        Branching::Sequential(policy) => {
-            let pair = &app[policy.select(app)];
-            (std::slice::from_ref(pair), Some(pair.rule))
-        }
-        Branching::Parallel => (app, None),
+    let mut fires = Vec::new();
+    branching.select(program, app, |pair| fires.push(pair));
+    let rule = match branching {
+        Branching::Sequential(_) => Some(fires[0].rule),
+        Branching::Parallel => None,
     };
     let mut children: Vec<(Vec<Fact>, f64)> = vec![(Vec::new(), 1.0)];
     let mut truncated = 0.0;
-    let mut sampled = HashSet::new();
     for pair in fires {
-        let fired = &program.rules[pair.rule];
-        // A parallel round samples each distinct experiment once.
-        if rule.is_none() && !fires_in_round(&mut sampled, fired, &pair.valuation) {
-            continue;
-        }
         let (branches, lost) = pair_branches(program, pair, tol)?;
         if lost > 0.0 {
             // Truncated mass applies to every partial product.

@@ -10,12 +10,16 @@
 //!
 //! Iterating the sampling view from an initial instance *is* the Markov
 //! process whose push-forward along `lim-inst` defines the program's SPDB
-//! semantics (Thm. 4.8/5.5).
+//! semantics (Thm. 4.8/5.5). A transition is a chase run with a budget of
+//! one step (or round), through the scalar loop every chase runs on
+//! ([`crate::sequential`]).
 //!
 //! The branching view is one node of a chase tree: both kernels expand
 //! `D` through the node expansion that exact enumeration and
 //! [`crate::tree`] walk ([`crate::exact`]), under the sequential or the
 //! parallel branching rule.
+
+use std::borrow::BorrowMut;
 
 use gdatalog_data::Instance;
 use gdatalog_lang::CompiledProgram;
@@ -23,8 +27,9 @@ use rand::Rng;
 
 use crate::applicability::PreparedProgram;
 use crate::exact::{expand, require_discrete, Branching, ExactConfig};
+use crate::mc::ChaseVariant;
 use crate::policy::ChasePolicy;
-use crate::sequential::fire;
+use crate::sequential::{Chase, SEQUENTIAL};
 use crate::EngineError;
 
 /// A Markov kernel on database instances. Absorbing states (no applicable
@@ -83,24 +88,15 @@ impl StepKernel for SequentialKernel<'_> {
         instance: &Instance,
         rng: &mut dyn Rng,
     ) -> Result<Option<Instance>, EngineError> {
-        let index = self.prepared.new_index(instance);
-        let app = self
-            .prepared
-            .applicable_pairs(self.program, instance, &index);
-        if app.is_empty() {
-            return Ok(None);
-        }
-        let pair = &app[self.policy.select(&app)];
-        let fired = fire(
+        let policy = &mut self.policy;
+        sample_transition(
             self.program,
-            &self.program.rules[pair.rule],
-            &pair.valuation,
+            &self.prepared,
+            instance,
+            SEQUENTIAL,
+            policy,
             rng,
         )
-        .map_err(EngineError::Dist)?;
-        let mut next = instance.clone();
-        next.insert_fact(fired.fact);
-        Ok(Some(next))
     }
 
     fn branch_step(
@@ -137,9 +133,8 @@ impl StepKernel for ParallelKernel<'_> {
         instance: &Instance,
         rng: &mut dyn Rng,
     ) -> Result<Option<Instance>, EngineError> {
-        crate::parallel::parallel_step_prepared(self.program, &self.prepared, instance, rng, None)
-            .map(|o| o.map(|(d, _)| d))
-            .map_err(EngineError::Dist)
+        let (variant, policy) = (ChaseVariant::Parallel, ChasePolicy::Canonical);
+        sample_transition(self.program, &self.prepared, instance, variant, policy, rng)
     }
 
     fn branch_step(
@@ -154,6 +149,25 @@ impl StepKernel for ParallelKernel<'_> {
     fn name(&self) -> &'static str {
         "parallel"
     }
+}
+
+/// One draw from `step(D, ·)`: a chase of `variant` from `instance` with
+/// a budget of one step — the pair `policy` selects, or one parallel
+/// round, fired with draws from `rng`; `None` when `instance` is
+/// absorbing.
+fn sample_transition<P: BorrowMut<ChasePolicy>>(
+    program: &CompiledProgram,
+    prepared: &PreparedProgram,
+    instance: &Instance,
+    variant: ChaseVariant,
+    policy: P,
+    rng: &mut dyn Rng,
+) -> Result<Option<Instance>, EngineError> {
+    let chase = Chase::new(prepared, program, instance.clone(), variant, policy);
+    let run = chase
+        .run(program, prepared, rng, 1, false)
+        .map_err(EngineError::Dist)?;
+    Ok((run.steps > 0).then_some(run.instance))
 }
 
 /// `step(D, ·)` as an explicit table: `instance` extended by each child of

@@ -74,7 +74,6 @@ pub use mcmc::MhBackend;
 pub use observe::{log_weight, weight as observation_weight};
 pub use policy::{ChasePolicy, PolicyKind};
 pub use queryset::{tail_event, Answer, Answers, QueryIr, QuerySet};
-pub use saturate::run_saturating;
 pub use sequential::{run_sequential, ChaseRun, RunOutcome, TraceStep};
 pub use session::{EssTarget, Evaluation, EvidenceSummary, Session};
 pub use tree::{build_chase_tree, ChaseNode, ChaseTree};

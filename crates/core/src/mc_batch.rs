@@ -5,18 +5,20 @@
 //!
 //! The chase is embarrassingly parallel across runs, and with per-run
 //! derived RNG streams ([`crate::mc::derive_seed`]) the runs of a batch
-//! can be driven *together* without changing any run's result: as long as
-//! lane `i`'s RNG consumes exactly the draws the reference loop of its
-//! variant ([`crate::sequential::run_sequential_prepared`],
-//! [`crate::parallel::run_parallel_prepared`] or
-//! [`crate::saturate::run_saturating_prepared`], seeded with
-//! `derive_seed(seed, i)`) would feed it, the lane's world is
+//! can be driven *together* without changing any run's result. A group
+//! steps through the chase stepper of the scalar loop behind
+//! [`crate::sequential::run_sequential_prepared`],
+//! [`crate::parallel::run_parallel_prepared`] and
+//! [`crate::saturate::run_saturating_prepared`] (`sequential::Chase`:
+//! the same selection, insertion and step accounting); as long as lane
+//! `i`'s RNG consumes exactly the draws that loop, seeded with
+//! `derive_seed(seed, i)`, would feed it, the lane's world is
 //! bit-identical, regardless of how lanes are grouped or interleaved.
 //!
 //! The executor keeps the batch as **lane groups**: a group is a set of
-//! runs whose chase states are still identical — one shared `Instance`,
-//! one maintained index, one cached `App(D)`, one policy state, one step
-//! counter, plus one RNG per lane. Every run of a batch starts in a single
+//! runs whose chase states are still identical — one shared chase
+//! (instance, maintained index, cached `App(D)`, policy state and step
+//! count), plus one RNG per lane. Every run of a batch starts in a single
 //! root group (the deterministic prefix — rules firing before the first
 //! Ψ-atom — is therefore executed exactly once and shared by all lanes),
 //! and a group only *splits* when an existential firing (one sequential
@@ -74,23 +76,22 @@
 //! when their sampled values are the same points of the value domain —
 //! their futures are then provably identical.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 
-use gdatalog_data::{Instance, RelId, Tuple, Value};
-use gdatalog_datalog::Delta;
+use gdatalog_data::{Fact, Instance, RelId, Tuple, Value};
 use gdatalog_dist::{DistError, ParamDist};
 use gdatalog_lang::{CompiledObserve, CompiledProgram, ExistentialHead, RuleKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
+use crate::applicability::{eval_terms, head_fact, AppPair, PreparedProgram};
 use crate::backend::{EvalJob, EvalOptions};
 use crate::mc::{derive_seed, ChaseVariant};
 use crate::observe;
-use crate::parallel::fires_in_round;
 use crate::policy::{ChasePolicy, PolicyKind};
+use crate::sequential::{Chase, RunOutcome};
 use crate::EngineError;
 
 /// Per-lane result of a batched execution. Terminated lanes of one group
@@ -459,11 +460,9 @@ struct Group {
     lanes: Vec<usize>,
     /// One RNG per lane, parallel to `lanes`.
     rngs: Vec<StdRng>,
-    /// The shared instance, index and cached `App(D)`; cloned on a split.
-    state: ChaseState,
-    policy: ChasePolicy,
-    /// Chase steps, or rounds for the parallel chase.
-    steps: usize,
+    /// The shared chase — instance, index, cached `App(D)`, policy state
+    /// and steps; cloned on a split.
+    chase: Chase,
     /// The memo node the group's next draw or end records into, while
     /// the group's path is on the memo.
     node: Option<usize>,
@@ -484,7 +483,7 @@ struct Draws {
 
 impl Draws {
     /// Samples experiment `e` under `valuation` in every lane, spec-major.
-    /// The reference loops' `fire` computes every outcome's log-density
+    /// The scalar loop's `fire` computes every outcome's log-density
     /// (the run's log-weight); this matches its work and its error
     /// surface, discarding the values — emission recomputes the
     /// conditioned weight from the final world. The memo walk skips the
@@ -516,142 +515,56 @@ impl Draws {
 }
 
 impl Group {
-    /// Applies one fired fact to the group state — the insert / step
-    /// accounting of the variant's reference loop. A parallel round counts
-    /// one step however many facts it fires ([`Group::round`]).
-    fn apply_fact(
-        &mut self,
-        prepared: &PreparedProgram,
-        variant: ChaseVariant,
-        rel: RelId,
-        tuple: Tuple,
-    ) {
-        match variant {
-            ChaseVariant::Parallel => {
-                self.state.insert(prepared, rel, tuple);
-            }
-            ChaseVariant::Sequential(_) => {
-                self.steps += 1;
-                self.state.insert(prepared, rel, tuple);
-            }
-            ChaseVariant::Saturating => {
-                self.steps += 1;
-                if self.state.insert(prepared, rel, tuple.clone()) {
-                    // Continue the deterministic fixpoint from the new fact.
-                    self.steps += self
-                        .state
-                        .saturate(prepared, Some(Delta::single(rel, tuple)));
-                }
-            }
-        }
-    }
-
-    /// One sequential (or saturating) chase step on a non-empty `App(D)`:
-    /// the selected pair fires, and an existential firing splits the group
-    /// on its outcomes.
-    fn step(
+    /// Fires the pairs of one step or parallel round in every lane.
+    /// Deterministic facts go into the shared state at once (a round's
+    /// pairs were fixed before it, and the instance is a set, so the
+    /// insertion order within a round does not matter); existential pairs
+    /// are sampled in every lane, spec-major. The group then splits: the
+    /// lanes are partitioned by their joint outcomes (first-occurrence
+    /// order), and each partition's experiment facts are inserted in
+    /// firing order. Later partitions clone the chase once each and go
+    /// onto the worklist; partition 0 keeps the group's chase in place.
+    /// Most splits have one partition (discrete draws agree) or all
+    /// singletons (continuous draws). A group on the memo records the
+    /// draws and moves each partition to the child of its outcomes.
+    fn fire(
         &mut self,
         program: &CompiledProgram,
         prepared: &PreparedProgram,
-        variant: ChaseVariant,
+        fires: &mut Vec<AppPair>,
         memo: &mut ChaseMemo,
         worklist: &mut Vec<Group>,
     ) -> Result<(), DistError> {
-        let app = self.state.app(prepared, program);
-        let chosen = match variant {
-            // The saturating chase always fires app[0].
-            ChaseVariant::Saturating => 0,
-            _ => self.policy.select(app),
-        };
-        let AppPair { rule, valuation } = app[chosen].clone();
-        match &program.rules[rule].kind {
-            RuleKind::Deterministic { head } => {
-                // No randomness: the whole group fires identically.
-                let tuple: Tuple = head.args.iter().map(|t| eval_term(t, &valuation)).collect();
-                self.apply_fact(prepared, variant, head.rel, tuple);
-            }
-            RuleKind::Existential(e) => {
-                let mut draws = Draws::default();
-                draws.sample(e, &valuation, &mut self.rngs)?;
-                self.split(prepared, variant, draws, memo, worklist);
-            }
-        }
-        Ok(())
-    }
-
-    /// One parallel chase round on a non-empty `App(D)`, as
-    /// [`crate::parallel::run_parallel_prepared`] fires it: every pair
-    /// fires and a repeated experiment is skipped. Deterministic facts go
-    /// into the shared state at once (the round's pairs were fixed before
-    /// it, and the instance is a set, so the insertion order within a
-    /// round does not matter); the group then splits on each lane's
-    /// outcomes of the whole round.
-    fn round(
-        &mut self,
-        program: &CompiledProgram,
-        prepared: &PreparedProgram,
-        memo: &mut ChaseMemo,
-        worklist: &mut Vec<Group>,
-    ) -> Result<(), DistError> {
-        // The round inserts while it walks the pairs, so it walks a copy.
-        let app = self.state.app(prepared, program).to_vec();
         let mut draws = Draws::default();
-        let mut sampled = HashSet::new();
-        for AppPair { rule, valuation } in app {
-            let rule = &program.rules[rule];
-            if !fires_in_round(&mut sampled, rule, &valuation) {
-                continue;
-            }
-            match &rule.kind {
+        for AppPair { rule, valuation } in fires.drain(..) {
+            match &program.rules[rule].kind {
                 RuleKind::Deterministic { head } => {
-                    let tuple: Tuple = head.args.iter().map(|t| eval_term(t, &valuation)).collect();
-                    self.state.insert(prepared, head.rel, tuple);
+                    self.chase.insert(prepared, head_fact(head, &valuation));
                 }
                 RuleKind::Existential(e) => draws.sample(e, &valuation, &mut self.rngs)?,
             }
         }
-        self.steps += 1;
-        self.split(prepared, ChaseVariant::Parallel, draws, memo, worklist);
-        Ok(())
-    }
-
-    /// Partitions the lanes by their joint outcomes (first-occurrence
-    /// order) and applies each partition's experiment facts in firing
-    /// order. Later partitions clone the state once each and go onto the
-    /// worklist; partition 0 keeps the group's state in place. Most splits
-    /// have one partition (discrete draws agree) or all singletons
-    /// (continuous draws). A group on the memo records the draws and
-    /// moves each partition to the child of its outcomes; a round that
-    /// drew nothing stays at its node.
-    fn split(
-        &mut self,
-        prepared: &PreparedProgram,
-        variant: ChaseVariant,
-        draws: Draws,
-        memo: &mut ChaseMemo,
-        worklist: &mut Vec<Group>,
-    ) {
         let Draws {
             experiments,
             mut specs,
             outcomes,
         } = draws;
+        if experiments.is_empty() {
+            return Ok(());
+        }
         let (tags, joints) = partition(&outcomes, self.lanes.len());
-        let at = match self.node {
-            Some(node) if !specs.is_empty() => {
-                memo.record_draws(node, &mut specs, None).then_some(node)
-            }
-            _ => None,
-        };
-        let stay = if specs.is_empty() { self.node } else { None };
-        let mut child = |joint: &[Value]| at.map_or(stay, |node| memo.child(node, joint));
+        let at = self
+            .node
+            .filter(|&node| memo.record_draws(node, &mut specs, None));
+        let mut child = |joint: &[Value]| at.and_then(|node| memo.child(node, joint));
         let apply = |group: &mut Group, joint: Vec<Value>| {
             let mut outcomes = joint.into_iter();
             for (rel, key, width) in &experiments {
                 let mut values = Vec::with_capacity(key.len() + width);
                 values.extend_from_slice(key);
                 values.extend(outcomes.by_ref().take(*width));
-                group.apply_fact(prepared, variant, *rel, Tuple::from(values));
+                let fact = Fact::new(*rel, Tuple::from(values));
+                group.chase.insert(prepared, fact);
             }
         };
         let mut joints = joints.into_iter();
@@ -662,9 +575,7 @@ impl Group {
             let mut spawned = Group {
                 lanes,
                 rngs,
-                state: self.state.clone(),
-                policy: self.policy.clone(),
-                steps: self.steps,
+                chase: self.chase.clone(),
                 node: child(&joint),
             };
             apply(&mut spawned, joint);
@@ -673,6 +584,7 @@ impl Group {
         keep_first_part(&tags, &mut self.lanes, &mut self.rngs);
         self.node = first_node;
         apply(self, first);
+        Ok(())
     }
 }
 
@@ -691,7 +603,7 @@ fn terminal(world: Instance, observes: &[CompiledObserve]) -> LaneObs {
 
 /// Executes the runs `range` of `job` as one batch and returns one
 /// observation per lane, in run-index order. Each lane's outcome is
-/// bit-identical to the reference loop of `job.options.variant` on the
+/// bit-identical to the scalar chase run of `job.options.variant` on the
 /// same run index (same derived seeds, same draw order, same step
 /// accounting); only the *work* is shared across lanes — within the batch
 /// by lane groups, across batches through `memo` — never the randomness.
@@ -742,69 +654,59 @@ fn chase_lanes(
 ) {
     let (program, options) = (job.program, job.options);
     let variant = options.variant;
-
-    // Root state: the deterministic prefix below is shared by every lane
-    // of a group.
-    let (state, steps) = if variant == ChaseVariant::Saturating {
-        let mut state = ChaseState::existential(prepared, program, job.input.clone());
-        let derived = state.saturate(prepared, None);
-        (state, derived)
-    } else {
-        (ChaseState::new(prepared, program, job.input.clone()), 0)
+    let kind = match variant {
+        ChaseVariant::Sequential(kind) => kind,
+        // The parallel and saturating chases read no policy.
+        ChaseVariant::Parallel | ChaseVariant::Saturating => PolicyKind::Canonical,
     };
+    // The root chase: the deterministic prefix below is shared by every
+    // lane of a group.
+    let policy = ChasePolicy::new(kind, existential);
+    let root = Chase::new(prepared, program, job.input.clone(), variant, policy);
     let rng = |lane: usize| lane_rng(options.seed, start + lane);
-    let mut worklist: Vec<Group> = match variant {
-        ChaseVariant::Sequential(PolicyKind::Random { seed }) => lanes
+    let mut worklist: Vec<Group> = match kind {
+        PolicyKind::Random { seed } => lanes
             .iter()
-            .map(|&lane| Group {
-                lanes: vec![lane],
-                rngs: vec![rng(lane)],
-                state: state.clone(),
-                policy: ChasePolicy::new(
-                    PolicyKind::Random {
-                        seed: derive_seed(seed, (start + lane) as u64),
-                    },
-                    existential,
-                ),
-                steps,
-                node: None,
+            .map(|&lane| {
+                let mut chase = root.clone();
+                let seed = derive_seed(seed, (start + lane) as u64);
+                chase.policy = ChasePolicy::new(PolicyKind::Random { seed }, existential);
+                Group {
+                    lanes: vec![lane],
+                    rngs: vec![rng(lane)],
+                    chase,
+                    node: None,
+                }
             })
             .collect(),
-        _ => {
-            let kind = match variant {
-                ChaseVariant::Sequential(kind) => kind,
-                // The parallel and saturating chases select no pair.
-                ChaseVariant::Parallel | ChaseVariant::Saturating => PolicyKind::Canonical,
-            };
-            vec![Group {
-                rngs: lanes.iter().map(|&lane| rng(lane)).collect(),
-                lanes,
-                state,
-                policy: ChasePolicy::new(kind, existential),
-                steps,
-                node: memo.active.then_some(0),
-            }]
-        }
+        _ => vec![Group {
+            rngs: lanes.iter().map(|&lane| rng(lane)).collect(),
+            lanes,
+            chase: root,
+            node: memo.active.then_some(0),
+        }],
     };
 
+    let mut fires = Vec::new();
     while let Some(mut group) = worklist.pop() {
         let obs = loop {
-            if group.state.app(prepared, program).is_empty() {
-                // Terminated: project once, share across the group.
-                let world = if options.keep_aux {
-                    group.state.into_instance()
-                } else {
-                    program.project_output(group.state.instance())
-                };
-                break terminal(world, job.observes);
+            match group
+                .chase
+                .next(prepared, program, options.max_depth, &mut fires)
+            {
+                Some(RunOutcome::Terminated) => {
+                    // Project once, share across the group.
+                    let world = if options.keep_aux {
+                        group.chase.state.into_instance()
+                    } else {
+                        program.project_output(group.chase.state.instance())
+                    };
+                    break terminal(world, job.observes);
+                }
+                Some(RunOutcome::BudgetExhausted) => break LaneObs::Budget,
+                None => {}
             }
-            if group.steps >= options.max_depth {
-                break LaneObs::Budget;
-            }
-            let fired = match variant {
-                ChaseVariant::Parallel => group.round(program, prepared, memo, &mut worklist),
-                _ => group.step(program, prepared, variant, memo, &mut worklist),
-            };
+            let fired = group.fire(program, prepared, &mut fires, memo, &mut worklist);
             #[cfg(test)]
             {
                 memo.steps += 1;
@@ -829,6 +731,7 @@ fn chase_lanes(
         }
     }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1086,6 +989,112 @@ mod tests {
             .iter()
             .all(|o| matches!(o, LaneObs::World(_))));
         assert_lanes_match_reference(src, SemanticsMode::Grohe, 9, 3, 12);
+    }
+
+    #[test]
+    fn every_driver_spends_the_same_steps() {
+        // Every run derives B(1), B(2), samples two experiments and
+        // delivers them: a sequential run takes 6 steps (one per fact), a
+        // parallel run 3 rounds (B, experiments, deliveries). The
+        // saturating chase counts the 2 facts of its initial fixpoint,
+        // then 2 per sampling step (the experiment and its delivery), and
+        // tests the budget only before a sampling step: its last one
+        // starts at 4 steps, so it needs a budget of 5 and ends at 6.
+        let src = "A(1). A(2). B(X) :- A(X). R(X, Flip<0.5>) :- B(X).";
+        let program = compile(src, SemanticsMode::Grohe);
+        let prepared = PreparedProgram::new(&program);
+        let input = &program.initial_instance;
+        let runs = 64 * 4;
+        for variant in VARIANTS {
+            // The least budget that lets the run terminate, and the steps
+            // the run then takes.
+            let (k, spent) = match variant {
+                ChaseVariant::Sequential(_) => (6, 6),
+                ChaseVariant::Parallel => (3, 3),
+                ChaseVariant::Saturating => (5, 6),
+            };
+            for (max_depth, terminates) in [(k, true), (k - 1, false)] {
+                let options = EvalOptions {
+                    seed: 2,
+                    max_depth,
+                    variant,
+                    ..EvalOptions::default()
+                };
+                // The scalar loop.
+                for seed in 0..8 {
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let run = match variant {
+                        ChaseVariant::Sequential(kind) => {
+                            let mut policy = ChasePolicy::new(kind, &existential_rules(&program));
+                            run_sequential_prepared(
+                                &program,
+                                &prepared,
+                                input,
+                                &mut policy,
+                                &mut rng,
+                                max_depth,
+                                false,
+                            )
+                        }
+                        ChaseVariant::Parallel => run_parallel_prepared(
+                            &program, &prepared, input, &mut rng, max_depth, false,
+                        ),
+                        ChaseVariant::Saturating => run_saturating_prepared(
+                            &program, &prepared, input, &mut rng, max_depth, false,
+                        ),
+                    }
+                    .unwrap();
+                    let outcome = if terminates {
+                        RunOutcome::Terminated
+                    } else {
+                        RunOutcome::BudgetExhausted
+                    };
+                    assert_eq!(run.outcome, outcome, "{variant:?} at {max_depth}");
+                    let steps = if terminates { spent } else { max_depth };
+                    assert_eq!(run.steps, steps, "{variant:?} at {max_depth}");
+                }
+                // The lane executor: the first batch chases, later batches
+                // walk the memo (except under the Random policy).
+                let mut memo = ChaseMemo::new(&options);
+                let lanes = batched_on(&program, &[], &options, 64, runs, &mut memo);
+                for (run_ix, lane) in lanes.iter().enumerate() {
+                    assert!(
+                        matches!(
+                            (lane, terminates),
+                            (LaneObs::World(_), true) | (LaneObs::Budget, false)
+                        ),
+                        "{variant:?} at {max_depth}: run {run_ix} gave {lane:?}"
+                    );
+                }
+                if memo.active {
+                    assert!(memo.paths < 64, "{variant:?}: {} paths chased", memo.paths);
+                }
+            }
+        }
+        // The MH chain runs the canonical chase: it finds a state at 6
+        // steps and none at 5.
+        for (max_depth, found) in [(6, true), (5, false)] {
+            let options = EvalOptions {
+                runs: 20,
+                burn_in: 5,
+                max_depth,
+                ..EvalOptions::default()
+            };
+            let job = EvalJob {
+                program: &program,
+                prepared: Some(&prepared),
+                input,
+                options: &options,
+                observes: &[],
+            };
+            let mut sink = EmpiricalSink::new();
+            let result =
+                crate::backend::Backend::run(&crate::mcmc::MhBackend::new(), &job, &mut sink);
+            match (result, found) {
+                (Ok(()), true) | (Err(EngineError::ZeroEvidence), false) => {}
+                (result, _) => panic!("MH at {max_depth} gave {result:?}"),
+            }
+        }
     }
 
     #[test]

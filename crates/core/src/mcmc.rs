@@ -46,7 +46,10 @@
 //! correction, in firing order. The walk builds no chase state and
 //! computes no density. If it meets an unrecorded node or joint, or a
 //! draw fails, the proposal restores the snapshot and **chases** the
-//! replay from the chain's input, recording the nodes it passes. The
+//! replay: it clones the chain's canonical chase at the input (the chase
+//! stepper every chase loop steps through, `sequential::Chase`, its
+//! `App(D)` enumerated once) and steps it, drawing fresh or reusing a
+//! recorded joint at each site, recording the nodes it passes. The
 //! chain thus consumes the RNG, and decides every error and rejection,
 //! exactly as a chain that always chases: same seed, same chain, bit for
 //! bit. A continuous draw leaves its node unrecorded, so a chain over
@@ -84,13 +87,13 @@ use gdatalog_pdb::WorldSink;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
-use crate::backend::{existential_rule_ids, Backend, EvalJob};
+use crate::applicability::{eval_terms, head_fact, AppPair, PreparedProgram};
+use crate::backend::{Backend, EvalJob};
 use crate::exact::check_deadline;
 use crate::mc_batch::{ChaseMemo, LaneObs, Node, SiteKey, Spec};
 use crate::observe;
-use crate::policy::{ChasePolicy, PolicyKind};
-use crate::sequential::RunOutcome;
+use crate::policy::ChasePolicy;
+use crate::sequential::{fire, Chase, Fired, RunOutcome, SEQUENTIAL};
 use crate::EngineError;
 
 /// One recorded site of a chased trace: the sampled outcomes (in
@@ -177,10 +180,9 @@ const ABSENT: usize = usize::MAX;
 struct Chain<'a> {
     program: &'a CompiledProgram,
     prepared: &'a PreparedProgram,
-    /// The chain's snapshot of the input: built, indexed and its App(D)
-    /// enumerated once, then cloned by every chased run.
-    start: ChaseState,
-    existential: Vec<usize>,
+    /// The chain's canonical chase at the input: built, indexed and its
+    /// App(D) enumerated once, then cloned by every chased run.
+    start: Chase,
     observes: &'a [CompiledObserve],
     max_steps: usize,
     keep_aux: bool,
@@ -217,8 +219,8 @@ impl Chain<'_> {
         rng: &mut StdRng,
     ) -> Result<Replay, EngineError> {
         let (program, prepared) = (self.program, self.prepared);
-        let mut state = self.start.clone();
-        let mut policy = ChasePolicy::new(PolicyKind::Canonical, &self.existential);
+        let mut chase = self.start.clone();
+        let mut fires = Vec::new();
         let mut records: HashMap<SiteKey, SiteRecord> = HashMap::new();
         let mut order: Vec<SiteKey> = Vec::new();
         // The memo node the next draw or the end records into, while the
@@ -226,87 +228,71 @@ impl Chain<'_> {
         let mut node = self.memo.root();
         let mut hops = Vec::new();
         let mut reused_delta = 0.0;
-        let mut steps = 0usize;
         let outcome = loop {
-            let app = state.app(prepared, program);
-            if app.is_empty() {
-                break RunOutcome::Terminated;
+            if let Some(outcome) = chase.next(prepared, program, self.max_steps, &mut fires) {
+                break outcome;
             }
-            if steps >= self.max_steps {
-                break RunOutcome::BudgetExhausted;
-            }
-            let AppPair { rule, valuation } = app[policy.select(app)].clone();
-            let fact = match &program.rules[rule].kind {
+            let AppPair { rule, valuation } = fires.pop().expect("a sequential step fires");
+            let e = match &program.rules[rule].kind {
                 RuleKind::Deterministic { head } => {
-                    let tuple: Tuple = head.args.iter().map(|t| eval_term(t, &valuation)).collect();
-                    Fact::new(head.rel, tuple)
+                    chase.insert(prepared, head_fact(head, &valuation));
+                    continue;
                 }
-                RuleKind::Existential(e) => {
-                    let key = eval_terms(&e.key_terms, &valuation);
-                    let site: SiteKey = (rule, Tuple::from(key.clone()));
-                    let recorded = match prior {
-                        Some((trace, resample)) if site != *resample => self.recorded(trace, &site),
-                        _ => None,
-                    };
-                    let mut values = key;
-                    let mut sampled = Vec::with_capacity(e.samples.len());
-                    let mut log_density = 0.0;
-                    match recorded {
-                        Some((rec_values, rec_log_density)) => {
-                            for (spec, value) in e.samples.iter().zip(rec_values) {
-                                let params = eval_terms(&spec.param_terms, &valuation);
-                                let ld = spec
-                                    .dist
-                                    .log_density(&params, &value)
-                                    .map_err(EngineError::Dist)?;
-                                if ld == f64::NEG_INFINITY {
-                                    return Ok(Replay::Invalid);
-                                }
-                                log_density += ld;
-                                sampled.push(value.clone());
-                                values.push(value);
-                            }
-                            reused_delta += log_density - rec_log_density;
-                        }
-                        None => {
-                            for spec in &e.samples {
-                                let params = eval_terms(&spec.param_terms, &valuation);
-                                let outcome =
-                                    spec.dist.sample(&params, rng).map_err(EngineError::Dist)?;
-                                log_density += spec
-                                    .dist
-                                    .log_density(&params, &outcome)
-                                    .map_err(EngineError::Dist)?;
-                                sampled.push(outcome.clone());
-                                values.push(outcome);
-                            }
-                        }
-                    }
-                    let hop = node.and_then(|at| {
-                        self.record(at, &site, e, &valuation, &sampled, log_density)
-                    });
-                    node = hop.map(|hop| {
-                        hops.push(hop);
-                        self.memo.edge(hop.node, hop.edge).node
-                    });
-                    records.insert(
-                        site.clone(),
-                        SiteRecord {
-                            values: sampled,
-                            log_density,
-                        },
-                    );
-                    order.push(site);
-                    Fact::new(e.aux_rel, Tuple::from(values))
-                }
+                RuleKind::Existential(e) => e,
             };
-            state.insert(prepared, fact.rel, fact.tuple);
-            steps += 1;
+            let key = eval_terms(&e.key_terms, &valuation);
+            let site: SiteKey = (rule, Tuple::from(key.clone()));
+            let recorded = match prior {
+                Some((trace, resample)) if site != *resample => self.recorded(trace, &site),
+                _ => None,
+            };
+            let fired = match recorded {
+                Some((sampled, rec_log_density)) => {
+                    let mut log_density = 0.0;
+                    for (spec, value) in e.samples.iter().zip(&sampled) {
+                        let params = eval_terms(&spec.param_terms, &valuation);
+                        let ld = spec
+                            .dist
+                            .log_density(&params, value)
+                            .map_err(EngineError::Dist)?;
+                        if ld == f64::NEG_INFINITY {
+                            return Ok(Replay::Invalid);
+                        }
+                        log_density += ld;
+                    }
+                    reused_delta += log_density - rec_log_density;
+                    let mut values = key;
+                    values.extend(sampled.iter().cloned());
+                    let fact = Fact::new(e.aux_rel, Tuple::from(values));
+                    Fired {
+                        fact,
+                        sampled,
+                        log_density,
+                    }
+                }
+                None => fire(&program.rules[rule], &valuation, rng).map_err(EngineError::Dist)?,
+            };
+            let (sampled, log_density) = (&fired.sampled, fired.log_density);
+            let hop =
+                node.and_then(|at| self.record(at, &site, e, &valuation, sampled, log_density));
+            node = hop.map(|hop| {
+                hops.push(hop);
+                self.memo.edge(hop.node, hop.edge).node
+            });
+            records.insert(
+                site.clone(),
+                SiteRecord {
+                    values: fired.sampled,
+                    log_density,
+                },
+            );
+            order.push(site);
+            chase.insert(prepared, fired.fact);
         };
         let end = match outcome {
             RunOutcome::BudgetExhausted => LaneObs::Budget,
             RunOutcome::Terminated => {
-                let instance = state.into_instance();
+                let instance = chase.state.into_instance();
                 let log_like = observe::log_weight(self.observes, &instance)?;
                 if log_like == f64::NEG_INFINITY {
                     LaneObs::Rejected
@@ -561,13 +547,14 @@ impl MhBackend {
             return Ok(());
         }
         let prepared = job.plans();
-        let mut start = ChaseState::new(&prepared, program, input.clone());
-        start.app(&prepared, program);
+        let policy = ChasePolicy::Canonical;
+        let mut start = Chase::new(&prepared, program, input.clone(), SEQUENTIAL, policy);
+        // A zero budget enumerates App(D) and fires nothing.
+        start.next(&prepared, program, 0, &mut Vec::new());
         let mut chain = Chain {
             program,
             prepared: &prepared,
             start,
-            existential: existential_rule_ids(program),
             observes: job.observes,
             max_steps: opts.max_depth,
             keep_aux: opts.keep_aux,

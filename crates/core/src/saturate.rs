@@ -15,15 +15,23 @@
 //! [`gdatalog_datalog::PlannedProgram::saturate_in_place`] rather than
 //! restarting from the whole instance — per sampling step the
 //! deterministic work is O(|Δ| + new matches), not O(|D|).
+//!
+//! A run is the chase stepper (`sequential::Chase`) under
+//! [`crate::ChaseVariant::Saturating`]: its root is the deterministic
+//! fixpoint of the input, each step fires the first applicable
+//! existential pair, and inserting the fired fact continues the fixpoint,
+//! counting the derived facts as steps.
 
-use gdatalog_data::{Fact, Instance};
-use gdatalog_datalog::{DatalogProgram, DatalogRule, Delta};
+use gdatalog_data::Instance;
+use gdatalog_datalog::{DatalogProgram, DatalogRule};
 use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, RuleKind};
 use rand::Rng;
 
-use crate::applicability::{AppPair, ChaseState, PreparedProgram};
-use crate::sequential::{fire, ChaseRun, RunOutcome, TraceStep};
+use crate::applicability::{AppPair, PreparedProgram};
+use crate::mc::ChaseVariant;
+use crate::policy::ChasePolicy;
+use crate::sequential::{Chase, ChaseRun};
 
 /// The deterministic fragment of a compiled program, as a classical
 /// Datalog program (reusable across runs).
@@ -57,27 +65,14 @@ pub fn applicable_existential_pairs(
     prepared.applicable_existential_pairs(program, instance, &index)
 }
 
-/// Runs the saturation-accelerated sequential chase. `max_steps` bounds
-/// the total of *sampling* steps plus derived deterministic facts, making
-/// budgets comparable with [`crate::sequential::run_sequential`].
-///
-/// # Errors
-/// Runtime distribution failures.
-pub fn run_saturating(
-    program: &CompiledProgram,
-    input: &Instance,
-    rng: &mut dyn Rng,
-    max_steps: usize,
-    record_trace: bool,
-) -> Result<ChaseRun, DistError> {
-    let prepared = PreparedProgram::new(program);
-    run_saturating_prepared(program, &prepared, input, rng, max_steps, record_trace)
-}
-
-/// [`run_saturating`] on a pre-planned program, with one incrementally
-/// maintained index shared between the deterministic saturation and the
-/// existential applicability probes, and the existential rules' `App(D)`
-/// cached across sampling steps ([`ChaseState`]).
+/// Runs the saturation-accelerated sequential chase on a pre-planned
+/// program, with one incrementally maintained index shared between the
+/// deterministic saturation and the existential applicability probes, and
+/// the existential rules' `App(D)` cached across sampling steps
+/// ([`crate::ChaseState`]). `max_steps` bounds the total of *sampling*
+/// steps plus derived deterministic facts, making budgets comparable with
+/// [`crate::sequential::run_sequential`]; it is tested before each
+/// sampling step.
 ///
 /// # Errors
 /// Runtime distribution failures.
@@ -89,51 +84,15 @@ pub fn run_saturating_prepared(
     max_steps: usize,
     record_trace: bool,
 ) -> Result<ChaseRun, DistError> {
-    let mut log_weight = 0.0;
-    let mut trace = Vec::new();
-
-    // Initial deterministic closure (full round 0).
-    let mut state = ChaseState::existential(prepared, program, input.clone());
-    let mut steps = state.saturate(prepared, None);
-
-    let outcome = loop {
-        let app = state.app(prepared, program);
-        if app.is_empty() {
-            break RunOutcome::Terminated;
-        }
-        if steps >= max_steps {
-            break RunOutcome::BudgetExhausted;
-        }
-        let pair = app[0].clone();
-        let fired = fire(program, &program.rules[pair.rule], &pair.valuation, rng)?;
-        let Fact { rel, tuple } = fired.fact;
-        steps += 1;
-        log_weight += fired.log_density;
-        if record_trace {
-            trace.push(TraceStep {
-                rule: pair.rule,
-                valuation: pair.valuation,
-                sampled: fired.sampled,
-                log_density: fired.log_density,
-            });
-        }
-        if state.insert(prepared, rel, tuple.clone()) {
-            // Continue the deterministic fixpoint from the new fact only.
-            steps += state.saturate(prepared, Some(Delta::single(rel, tuple)));
-        }
-    };
-    Ok(ChaseRun {
-        outcome,
-        instance: state.into_instance(),
-        steps,
-        log_weight,
-        trace,
-    })
+    let (variant, policy) = (ChaseVariant::Saturating, ChasePolicy::Canonical);
+    let chase = Chase::new(prepared, program, input.clone(), variant, policy);
+    chase.run(program, prepared, rng, max_steps, record_trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sequential::RunOutcome;
     use gdatalog_dist::Registry;
     use gdatalog_lang::{parse_program, translate, validate, SemanticsMode};
     use rand::rngs::StdRng;
@@ -143,6 +102,13 @@ mod tests {
     fn compile(src: &str) -> CompiledProgram {
         let v = validate(parse_program(src).unwrap(), Arc::new(Registry::standard())).unwrap();
         translate(&v, SemanticsMode::Grohe).unwrap()
+    }
+
+    fn run_saturating(prog: &CompiledProgram, seed: u64, record_trace: bool) -> ChaseRun {
+        let prepared = PreparedProgram::new(prog);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let input = &prog.initial_instance;
+        run_saturating_prepared(prog, &prepared, input, &mut rng, 100_000, record_trace).unwrap()
     }
 
     const BURGLARY: &str = r#"
@@ -162,8 +128,7 @@ mod tests {
     #[test]
     fn saturating_run_terminates_with_same_schema() {
         let prog = compile(BURGLARY);
-        let mut rng = StdRng::seed_from_u64(9);
-        let run = run_saturating(&prog, &prog.initial_instance, &mut rng, 100_000, true).unwrap();
+        let run = run_saturating(&prog, 9, true);
         assert_eq!(run.outcome, RunOutcome::Terminated);
         for fd in &prog.fds {
             assert!(fd.check(&run.instance).is_ok());
@@ -179,9 +144,7 @@ mod tests {
         // unfired.
         let prog = compile(BURGLARY);
         for seed in 0..40 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let run =
-                run_saturating(&prog, &prog.initial_instance, &mut rng, 100_000, false).unwrap();
+            let run = run_saturating(&prog, seed, false);
             assert_eq!(run.outcome, RunOutcome::Terminated);
             assert!(
                 crate::applicability::applicable_pairs(&prog, &run.instance).is_empty(),
@@ -199,9 +162,7 @@ mod tests {
         let mut hits_plain = 0u32;
         let mut hits_sat = 0u32;
         for seed in 0..runs {
-            let mut rng = StdRng::seed_from_u64(u64::from(seed));
-            let run =
-                run_saturating(&prog, &prog.initial_instance, &mut rng, 100_000, false).unwrap();
+            let run = run_saturating(&prog, u64::from(seed), false);
             if run.instance.contains(alarm, &h1) {
                 hits_sat += 1;
             }

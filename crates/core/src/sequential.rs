@@ -1,4 +1,5 @@
-//! Sequential chase steps and runs (Def. 4.1 / Def. 4.2 of the paper).
+//! Sequential chase steps and runs (Def. 4.1 / Def. 4.2 of the paper),
+//! and the one chase stepper every stepping loop goes through.
 //!
 //! A run starts at `D₀`, repeatedly computes `App(D)`, lets the chase
 //! policy (a measurable selection) pick one applicable pair, and fires it:
@@ -7,14 +8,31 @@
 //! reaches `App(D) = {(□,□)}` (no applicable pair) has *terminated* and
 //! `lim-inst` maps it to its final instance; a run still alive at the step
 //! budget corresponds to the error event `err` of §4.2.
+//!
+//! The sequential, parallel ([`crate::parallel`]) and saturating
+//! ([`crate::saturate`]) chases differ only in which pairs fire at a step
+//! and how fired facts count, so one `Chase` steps them all: it tests
+//! `App(D) = ∅` before the budget, selects the pairs that fire (the
+//! selection exact enumeration branches over, `exact::Branching`), and
+//! inserts and counts fired facts. Each driver fires the selected pairs
+//! with its own draws: the scalar loop behind the three `run_*_prepared`
+//! entry points with one RNG, the kernels' sampling view
+//! ([`crate::kernel`]) through that loop, the Monte-Carlo lane groups
+//! (`mc_batch`) with one RNG per lane, and the Metropolis-Hastings chain
+//! ([`crate::mcmc`]) by replaying recorded draws.
+
+use std::borrow::BorrowMut;
 
 use gdatalog_data::{Fact, Instance, Tuple, Value};
+use gdatalog_datalog::Delta;
 use gdatalog_dist::DistError;
 use gdatalog_lang::{CompiledProgram, CompiledRule, RuleKind};
 use rand::Rng;
 
-use crate::applicability::{eval_term, eval_terms, AppPair, ChaseState, PreparedProgram};
-use crate::policy::ChasePolicy;
+use crate::applicability::{eval_terms, head_fact, AppPair, ChaseState, PreparedProgram};
+use crate::exact::Branching;
+use crate::mc::ChaseVariant;
+use crate::policy::{ChasePolicy, PolicyKind};
 
 /// One recorded chase step (the path of the Markov process, §4.2).
 #[derive(Debug, Clone)]
@@ -66,21 +84,16 @@ pub(crate) struct Fired {
 /// Fires `rule` under `valuation`, sampling existential outcomes from
 /// `rng`. Does not insert the fact (callers differ in how they apply it).
 pub(crate) fn fire(
-    program: &CompiledProgram,
     rule: &CompiledRule,
     valuation: &Tuple,
     rng: &mut dyn Rng,
 ) -> Result<Fired, DistError> {
-    let _ = program;
     match &rule.kind {
-        RuleKind::Deterministic { head } => {
-            let tuple: Tuple = head.args.iter().map(|t| eval_term(t, valuation)).collect();
-            Ok(Fired {
-                fact: Fact::new(head.rel, tuple),
-                sampled: Vec::new(),
-                log_density: 0.0,
-            })
-        }
+        RuleKind::Deterministic { head } => Ok(Fired {
+            fact: head_fact(head, valuation),
+            sampled: Vec::new(),
+            log_density: 0.0,
+        }),
         RuleKind::Existential(e) => {
             let mut values = eval_terms(&e.key_terms, valuation);
             let mut sampled = Vec::with_capacity(e.samples.len());
@@ -98,6 +111,158 @@ pub(crate) fn fire(
                 log_density,
             })
         }
+    }
+}
+
+/// The variant of a sequential chase whose policy is given as such: the
+/// stepper reads the variant's shape, never its policy kind.
+pub(crate) const SEQUENTIAL: ChaseVariant = ChaseVariant::Sequential(PolicyKind::Canonical);
+
+/// One chase in progress: its [`ChaseState`], the policy selecting a
+/// sequential step's pair (owned, or borrowed from a caller that keeps
+/// its state across runs), the variant deciding which pairs fire and how
+/// fired facts count, and the steps spent. Cloning it forks the chase: a
+/// lane-group split, or a Metropolis-Hastings proposal from the chain's
+/// snapshot.
+#[derive(Clone)]
+pub(crate) struct Chase<P = ChasePolicy> {
+    pub(crate) state: ChaseState,
+    pub(crate) policy: P,
+    variant: ChaseVariant,
+    /// Fired facts (sequential), rounds (parallel), or fired and derived
+    /// facts (saturating).
+    pub(crate) steps: usize,
+}
+
+impl<P: BorrowMut<ChasePolicy>> Chase<P> {
+    /// The chase of `variant` at `input`. Only a sequential chase reads
+    /// `policy` (its kind is `policy`'s, whatever `variant` names; see
+    /// [`SEQUENTIAL`]). The
+    /// saturating chase fires the first applicable pair of the
+    /// existential rules, and starts from the deterministic fixpoint of
+    /// `input`, whose derived facts count as steps.
+    pub(crate) fn new(
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        input: Instance,
+        variant: ChaseVariant,
+        policy: P,
+    ) -> Self {
+        let (state, steps) = if variant == ChaseVariant::Saturating {
+            let mut state = ChaseState::existential(prepared, program, input);
+            let derived = state.saturate(prepared, None);
+            (state, derived)
+        } else {
+            (ChaseState::new(prepared, program, input), 0)
+        };
+        Chase {
+            state,
+            policy,
+            variant,
+            steps,
+        }
+    }
+
+    /// Moves to the next step. Returns how the chase ends here —
+    /// `App(D) = ∅` is tested before the budget, so a chase absorbing
+    /// after exactly `max_steps` steps terminates — or else fills `fires`
+    /// with the pairs to fire, in firing order (a parallel round counts
+    /// its step here).
+    pub(crate) fn next(
+        &mut self,
+        prepared: &PreparedProgram,
+        program: &CompiledProgram,
+        max_steps: usize,
+        fires: &mut Vec<AppPair>,
+    ) -> Option<RunOutcome> {
+        let app = self.state.app(prepared, program);
+        if app.is_empty() {
+            return Some(RunOutcome::Terminated);
+        }
+        if self.steps >= max_steps {
+            return Some(RunOutcome::BudgetExhausted);
+        }
+        fires.clear();
+        let mut first = ChasePolicy::Canonical;
+        let mut branching = match self.variant {
+            ChaseVariant::Sequential(_) => Branching::Sequential(self.policy.borrow_mut()),
+            ChaseVariant::Saturating => Branching::Sequential(&mut first),
+            ChaseVariant::Parallel => {
+                self.steps += 1;
+                Branching::Parallel
+            }
+        };
+        branching.select(program, app, |pair| fires.push(pair.clone()));
+        None
+    }
+
+    /// Inserts a fired fact and counts it: one step per sequential fact;
+    /// one per saturating fact plus the facts the deterministic fixpoint
+    /// then derives from it; none for a fact of a parallel round.
+    pub(crate) fn insert(&mut self, prepared: &PreparedProgram, fact: Fact) {
+        let Fact { rel, tuple } = fact;
+        match self.variant {
+            ChaseVariant::Sequential(_) => {
+                self.steps += 1;
+                self.state.insert(prepared, rel, tuple);
+            }
+            ChaseVariant::Saturating => {
+                self.steps += 1;
+                if self.state.insert(prepared, rel, tuple.clone()) {
+                    // Continue the deterministic fixpoint from the new fact.
+                    self.steps += self
+                        .state
+                        .saturate(prepared, Some(Delta::single(rel, tuple)));
+                }
+            }
+            ChaseVariant::Parallel => {
+                self.state.insert(prepared, rel, tuple);
+            }
+        }
+    }
+
+    /// The scalar chase loop: steps the chase to its end, firing every
+    /// selected pair with draws from `rng`, and records the trace when
+    /// `record_trace` is set.
+    ///
+    /// # Errors
+    /// Runtime distribution failures.
+    pub(crate) fn run(
+        mut self,
+        program: &CompiledProgram,
+        prepared: &PreparedProgram,
+        rng: &mut dyn Rng,
+        max_steps: usize,
+        record_trace: bool,
+    ) -> Result<ChaseRun, DistError> {
+        let mut log_weight = 0.0;
+        let mut trace = Vec::new();
+        let mut fires = Vec::new();
+        let outcome = loop {
+            if let Some(outcome) = self.next(prepared, program, max_steps, &mut fires) {
+                break outcome;
+            }
+            for AppPair { rule, valuation } in fires.drain(..) {
+                let fired = fire(&program.rules[rule], &valuation, rng)?;
+                self.insert(prepared, fired.fact);
+                log_weight += fired.log_density;
+                if record_trace {
+                    trace.push(TraceStep {
+                        rule,
+                        valuation,
+                        sampled: fired.sampled,
+                        log_density: fired.log_density,
+                    });
+                }
+            }
+        };
+        Ok(ChaseRun {
+            outcome,
+            instance: self.state.into_instance(),
+            steps: self.steps,
+            log_weight,
+            trace,
+        })
     }
 }
 
@@ -143,47 +308,13 @@ pub fn run_sequential_prepared(
     max_steps: usize,
     record_trace: bool,
 ) -> Result<ChaseRun, DistError> {
-    let mut state = ChaseState::new(prepared, program, input.clone());
-    let mut steps = 0usize;
-    let mut log_weight = 0.0;
-    let mut trace = Vec::new();
-
-    let outcome = loop {
-        let app = state.app(prepared, program);
-        if app.is_empty() {
-            break RunOutcome::Terminated;
-        }
-        if steps >= max_steps {
-            break RunOutcome::BudgetExhausted;
-        }
-        let AppPair { rule, valuation } = app[policy.select(app)].clone();
-        let fired = fire(program, &program.rules[rule], &valuation, rng)?;
-        let Fact { rel, tuple } = fired.fact;
-        state.insert(prepared, rel, tuple);
-        log_weight += fired.log_density;
-        if record_trace {
-            trace.push(TraceStep {
-                rule,
-                valuation,
-                sampled: fired.sampled,
-                log_density: fired.log_density,
-            });
-        }
-        steps += 1;
-    };
-    Ok(ChaseRun {
-        outcome,
-        instance: state.into_instance(),
-        steps,
-        log_weight,
-        trace,
-    })
+    let chase = Chase::new(prepared, program, input.clone(), SEQUENTIAL, policy);
+    chase.run(program, prepared, rng, max_steps, record_trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
     use gdatalog_data::tuple;
     use gdatalog_dist::Registry;
     use gdatalog_lang::{parse_program, translate, validate, SemanticsMode};

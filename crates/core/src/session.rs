@@ -41,8 +41,8 @@ use rand::SeedableRng;
 
 use crate::applicability::PreparedProgram;
 use crate::backend::{
-    Backend, EvalJob, EvalOptions, ExactParallelBackend, ExactSequentialBackend, McBackend,
-    RunBudget,
+    existential_rule_ids, Backend, EvalJob, EvalOptions, ExactParallelBackend,
+    ExactSequentialBackend, McBackend, RunBudget,
 };
 use crate::engine::{Engine, EngineError};
 use crate::mc::ChaseVariant;
@@ -1478,13 +1478,7 @@ impl<'a> Evaluation<'a> {
                 ));
             }
         }
-        let existential: Vec<usize> = self
-            .program
-            .rules
-            .iter()
-            .filter(|r| r.is_existential())
-            .map(|r| r.id)
-            .collect();
+        let existential = existential_rule_ids(self.program);
         let mut policy = ChasePolicy::new(self.options.policy, &existential);
         let mut rng = StdRng::seed_from_u64(self.options.seed);
         run_sequential(

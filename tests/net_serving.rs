@@ -44,18 +44,18 @@ fn four_worker_batch_is_not_slower_than_single_worker() {
     for server in [&single, &multi] {
         assert!(server.batch(&requests).iter().all(Result::is_ok));
     }
-    let best_of_3 = |server: &Server| {
-        (0..3)
-            .map(|_| {
-                let started = Instant::now();
-                assert!(server.batch(&requests).iter().all(Result::is_ok));
-                started.elapsed()
-            })
-            .min()
-            .unwrap()
+    let timed = |server: &Server| {
+        let started = Instant::now();
+        assert!(server.batch(&requests).iter().all(Result::is_ok));
+        started.elapsed()
     };
-    let t1 = best_of_3(&single);
-    let t4 = best_of_3(&multi);
+    // The two servers alternate, so a burst of host load hits both sides
+    // alike; each keeps its best of 7.
+    let (mut t1, mut t4) = (Duration::MAX, Duration::MAX);
+    for _ in 0..7 {
+        t1 = t1.min(timed(&single));
+        t4 = t4.min(timed(&multi));
+    }
     let ratio = t1.as_secs_f64() / t4.as_secs_f64();
     assert!(
         ratio >= 0.9,
