@@ -1400,7 +1400,7 @@ impl WorldSink for RelationMarginalsSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::FactSet;
+    use crate::events::{ColPred, FactSet};
     use gdatalog_data::{tuple, Value};
 
     fn r(n: u32) -> RelId {
@@ -1910,6 +1910,147 @@ mod tests {
         assert_eq!(pdb.runs(), 2);
         assert_eq!(pdb.errors(), 1);
         let _ = Value::int(0);
+    }
+
+    /// One of each sink in this module that reads the stream: every
+    /// statistic (moments on both the relation fast path and the
+    /// `eval_query` path) and both collectors.
+    fn every_member() -> Vec<Box<dyn WorldSink>> {
+        let rel = r(0);
+        let wide = Query::Select {
+            input: Box::new(Query::Rel(rel)),
+            preds: vec![(0, ColPred::Range { lo: 1.0, hi: 10.0 })],
+        };
+        vec![
+            Box::new(MarginalSink::new(Fact::new(rel, tuple![1.0]))),
+            Box::new(EventProbabilitySink::new(Event::count_exactly(
+                FactSet::whole_relation(rel),
+                2,
+            ))),
+            Box::new(MomentsSink::new(Query::Rel(rel), AggFun::Sum, 0.0)),
+            Box::new(MomentsSink::new(wide, AggFun::Avg, -1.0)),
+            Box::new(HistogramSink::new(rel, 0, 0.0, 4.0, 4)),
+            Box::new(QuantileSink::new(rel, 0, 0.5)),
+            Box::new(RelationMarginalsSink::new(rel)),
+            Box::new(WorldTableSink::new()),
+            Box::new(EmpiricalSink::new()),
+        ]
+    }
+
+    /// A sink's `finish()`, every float as its bit pattern.
+    fn finish_bits(sink: Box<dyn WorldSink>) -> Vec<String> {
+        fn bits(xs: impl IntoIterator<Item = f64>) -> Vec<String> {
+            xs.into_iter()
+                .map(|x| format!("{:016x}", x.to_bits()))
+                .collect()
+        }
+        let mut any = sink.into_any();
+        macro_rules! digest {
+            ($ty:ty, |$s:ident| $bits:expr) => {
+                any = match any.downcast::<$ty>() {
+                    Ok($s) => return $bits,
+                    Err(other) => other,
+                };
+            };
+        }
+        digest!(MarginalSink, |s| bits([s.finish()]));
+        digest!(EventProbabilitySink, |s| bits([s.finish()]));
+        digest!(MomentsSink, |s| bits(
+            s.finish()
+                .into_iter()
+                .flat_map(|m| [m.mean, m.variance, m.mass])
+        ));
+        digest!(HistogramSink, |s| {
+            let h = s.finish();
+            let flows = [h.lo, h.hi, h.underflow, h.overflow, h.nan, h.mass];
+            bits(h.bins.iter().copied().chain(flows))
+        });
+        digest!(QuantileSink, |s| bits(s.finish()));
+        digest!(RelationMarginalsSink, |s| s
+            .finish()
+            .into_iter()
+            .map(|(fact, p)| format!("{fact:?} {:016x}", p.to_bits()))
+            .collect());
+        digest!(WorldTableSink, |s| {
+            let table = s.finish();
+            let deficit = table.deficit();
+            let mut out: Vec<String> = table
+                .iter()
+                .map(|(world, p)| format!("{world:?} {:016x}", p.to_bits()))
+                .collect();
+            out.extend(bits([deficit.nontermination, deficit.truncation]));
+            out
+        });
+        digest!(EmpiricalSink, |s| {
+            let pdb = s.finish();
+            let mut out: Vec<String> = pdb.samples().iter().map(|w| format!("{w:?}")).collect();
+            out.push(pdb.errors().to_string());
+            out
+        });
+        digest!(MultiplexSink, |s| s
+            .into_sinks()
+            .into_iter()
+            .flat_map(finish_bits)
+            .collect());
+        digest!(NormalizingSink<MultiplexSink>, |s| {
+            let (inner, stats) = s.finish();
+            let mut out = bits([stats.scale, stats.sum, stats.sq_sum]);
+            out.push(stats.worlds.to_string());
+            out.extend(finish_bits(Box::new(inner)));
+            out
+        });
+        drop(any);
+        panic!("no digest for this sink type");
+    }
+
+    #[test]
+    fn observe_batch_equals_the_itemwise_fold() {
+        // `observe_batch` must fold exactly like the matching itemwise
+        // `observe_*` calls, on every sink of this module: one mixed batch
+        // (linear and log worlds, both deficit kinds, one instance borrowed
+        // twice, a log-weight that moves a log-space normalizer's maximum).
+        let mut w1 = Instance::new();
+        w1.insert(r(0), tuple![1.0]);
+        w1.insert(r(0), tuple![2.5]);
+        let mut w2 = Instance::new();
+        w2.insert(r(0), tuple![3.0]);
+        let empty = Instance::new();
+        let batch = [
+            BatchObs::World(&w1, 0.375),
+            BatchObs::LogWorld(&w2, -1.25),
+            BatchObs::Deficit(DeficitKind::Nontermination, 0.125),
+            BatchObs::World(&empty, 0.0625),
+            BatchObs::LogWorld(&w1, -0.5),
+            BatchObs::Deficit(DeficitKind::Truncation, 0.03125),
+        ];
+        let every_sink = || {
+            let mut sinks = every_member();
+            sinks.push(Box::new(MultiplexSink::new(every_member())));
+            sinks.push(Box::new(NormalizingSink::new(MultiplexSink::new(
+                every_member(),
+            ))));
+            sinks.push(Box::new(NormalizingSink::log_space(MultiplexSink::new(
+                every_member(),
+            ))));
+            sinks
+        };
+        let (batched, itemwise) = (every_sink(), every_sink());
+        assert_eq!(batched.len(), 12);
+        for (i, (mut batched, mut itemwise)) in batched.into_iter().zip(itemwise).enumerate() {
+            batched.observe_batch(&batch);
+            for obs in batch {
+                match obs {
+                    BatchObs::World(world, weight) => itemwise.observe_ref(world, weight),
+                    BatchObs::LogWorld(world, lw) => itemwise.observe_log_ref(world, lw),
+                    BatchObs::Deficit(kind, weight) => itemwise.observe_deficit(kind, weight),
+                }
+            }
+            assert_eq!(
+                finish_bits(batched),
+                finish_bits(itemwise),
+                "sink {i}: the batch fold diverged from the itemwise fold"
+            );
+        }
     }
 
     #[test]
