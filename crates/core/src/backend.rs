@@ -73,9 +73,15 @@ pub struct EvalOptions {
     /// overshoot, and the adaptive ESS schedule grows in whole batches.
     /// The default was chosen by the `mc_batch` criterion sweep.
     pub batch: usize,
-    /// Budget along any chase path: maximum depth for exact enumeration,
-    /// maximum steps/rounds per Monte-Carlo run. Deeper paths are charged
-    /// to the non-termination deficit (the paper's `err` event, §4.2).
+    /// Budget along any chase path; paths beyond it are charged to the
+    /// non-termination deficit (the paper's `err` event, §4.2). One unit
+    /// is one chase step for the sequential variant and one round for the
+    /// parallel one, in exact enumeration, Monte-Carlo runs and MH alike.
+    /// The saturating variant counts every derived fact as a step but
+    /// tests the budget only before a sampling step, so the deterministic
+    /// fixpoint after it is counted, never cut: one budget can leave a
+    /// different `err` mass per variant (the rule
+    /// `mc_batch::tests::every_driver_spends_the_same_steps` pins).
     pub max_depth: usize,
     /// Tail mass at which countably-infinite supports are truncated during
     /// exact enumeration.
@@ -451,9 +457,9 @@ pub(crate) fn mc_stream(
     // lockstep as lane groups sharing the deterministic prefix and
     // per-step chase work, and the worker slot's chase-tree memo shares
     // the recorded paths and their likelihoods across its batches
-    // (`crate::mc_batch`); one `observe_batch` then emits the whole lane
-    // batch by reference. Deadline checks are cooperative at batch
-    // boundaries.
+    // (`crate::mc_batch`). One `observe_batch` hands the lane batch over
+    // by reference; sinks fold it with the trait's itemwise loop.
+    // Deadline checks are cooperative at batch boundaries.
     let drive = |sink: &mut dyn WorldSink,
                  memo: &mut ChaseMemo,
                  chunk: std::ops::Range<usize>|

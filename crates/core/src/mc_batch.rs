@@ -63,13 +63,13 @@
 //! or an exhausted budget.
 //!
 //! Sampling inside a group is **spec-major** via
-//! [`gdatalog_dist::ParamDist::sample_batch`]: parameters are evaluated
-//! once per spec (they are a function of the valuation, shared by the
-//! whole group) and each lane's RNG is touched once per spec in spec
-//! order — exactly the per-run draw order of
-//! [`crate::sequential::fire`]. The memo walk draws the same specs in the
-//! same order with [`gdatalog_dist::ParamDist::sample`], which per lane
-//! equals `sample_batch`.
+//! [`gdatalog_dist::ParamDist::sample_batch`], the trait's scalar loop
+//! over `sample`: parameters are evaluated once per spec (they are a
+//! function of the valuation, shared by the whole group) and each lane's
+//! RNG is touched once per spec in spec order — exactly the per-run draw
+//! order of [`crate::sequential::fire`]. The memo walk draws the same
+//! specs in the same order with [`gdatalog_dist::ParamDist::sample`]
+//! itself, so every family draws through one function.
 //!
 //! Lane-partition equality uses `Value`'s total equality (`-0.0` is
 //! normalized at construction and NaN rejected), so two lanes merge only

@@ -239,40 +239,29 @@ impl QueryIr {
     /// reproducing each single-query terminal's arithmetic exactly.
     fn finish(&self, sink: Box<dyn WorldSink>, norm: Option<f64>) -> Answer {
         let sink = sink.into_any();
+        let normalized = |p: f64| norm.map_or(p, |total| p / total);
         match self {
-            QueryIr::Marginal { .. } => {
-                let p = sink
-                    .downcast::<MarginalSink>()
+            QueryIr::Marginal { .. } => Answer::Marginal(normalized(
+                sink.downcast::<MarginalSink>()
                     .expect("marginal sink")
-                    .finish();
-                Answer::Marginal(match norm {
-                    Some(total) => p / total,
-                    None => p,
-                })
-            }
+                    .finish(),
+            )),
             QueryIr::Marginals { .. } => {
                 let rows = sink
                     .downcast::<RelationMarginalsSink>()
                     .expect("marginals sink")
                     .finish();
-                Answer::Marginals(match norm {
-                    Some(total) => rows
-                        .into_iter()
-                        .map(|(fact, p)| (fact, p / total))
+                Answer::Marginals(
+                    rows.into_iter()
+                        .map(|(fact, p)| (fact, normalized(p)))
                         .collect(),
-                    None => rows,
-                })
+                )
             }
-            QueryIr::Probability { .. } => {
-                let p = sink
-                    .downcast::<EventProbabilitySink>()
+            QueryIr::Probability { .. } => Answer::Probability(normalized(
+                sink.downcast::<EventProbabilitySink>()
                     .expect("probability sink")
-                    .finish();
-                Answer::Probability(match norm {
-                    Some(total) => p / total,
-                    None => p,
-                })
-            }
+                    .finish(),
+            )),
             // The moments sink self-normalizes by its observed mass, so no
             // extra correction applies under conditioning (the terminal
             // behaves identically).
@@ -304,16 +293,11 @@ impl QueryIr {
                     .expect("quantile sink")
                     .finish(),
             ),
-            QueryIr::Tail { .. } => {
-                let p = sink
-                    .downcast::<EventProbabilitySink>()
+            QueryIr::Tail { .. } => Answer::Tail(normalized(
+                sink.downcast::<EventProbabilitySink>()
                     .expect("tail sink")
-                    .finish();
-                Answer::Tail(match norm {
-                    Some(total) => p / total,
-                    None => p,
-                })
-            }
+                    .finish(),
+            )),
         }
     }
 }

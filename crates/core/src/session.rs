@@ -594,9 +594,11 @@ impl<'a> Evaluation<'a> {
         self
     }
 
-    /// Sets the chase budget: maximum depth for exact enumeration, maximum
-    /// steps per Monte-Carlo run. Mass beyond the budget is charged to the
-    /// non-termination deficit (the paper's `err` event, §4.2).
+    /// Sets the chase budget: one unit is one chase step (sequential), one
+    /// round (parallel), or one derived fact tested only before a sampling
+    /// step (saturating, whose deterministic fixpoints are counted but not
+    /// cut; see [`EvalOptions::max_depth`]). Mass beyond the budget is
+    /// charged to the non-termination deficit (the paper's `err`, §4.2).
     ///
     /// ```
     /// use gdatalog_core::Session;

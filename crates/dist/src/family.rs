@@ -188,19 +188,6 @@ impl ParamDist for Flip {
         let p = self.p(params)?;
         Ok(Value::int(i64::from(rng.gen_bool(p))))
     }
-    fn sample_batch(
-        &self,
-        params: &[Value],
-        rngs: &mut [rand::rngs::StdRng],
-        out: &mut Vec<Value>,
-    ) -> Result<(), DistError> {
-        let p = self.p(params)?;
-        out.reserve(rngs.len());
-        for rng in rngs {
-            out.push(Value::int(i64::from(rng.gen_bool(p))));
-        }
-        Ok(())
-    }
     fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
         let p = self.p(params)?;
         match int_outcome(self.name, outcome)? {
@@ -208,24 +195,6 @@ impl ParamDist for Flip {
             0 => Ok((1.0 - p).ln()),
             _ => Ok(f64::NEG_INFINITY),
         }
-    }
-    fn log_density_batch(
-        &self,
-        params: &[Value],
-        outcomes: &[Value],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DistError> {
-        let p = self.p(params)?;
-        let (ln_p, ln_q) = (p.ln(), (1.0 - p).ln());
-        out.reserve(outcomes.len());
-        for outcome in outcomes {
-            out.push(match int_outcome(self.name, outcome)? {
-                1 => ln_p,
-                0 => ln_q,
-                _ => f64::NEG_INFINITY,
-            });
-        }
-        Ok(())
     }
     fn enumerate(&self, params: &[Value], _tol: f64) -> Result<Support, DistError> {
         let p = self.p(params)?;
@@ -366,19 +335,6 @@ impl ParamDist for UniformInt {
         let (lo, hi) = self.bounds(params)?;
         Ok(Value::int(rng.gen_range_i64(lo, hi)))
     }
-    fn sample_batch(
-        &self,
-        params: &[Value],
-        rngs: &mut [rand::rngs::StdRng],
-        out: &mut Vec<Value>,
-    ) -> Result<(), DistError> {
-        let (lo, hi) = self.bounds(params)?;
-        out.reserve(rngs.len());
-        for rng in rngs {
-            out.push(Value::int(rng.gen_range_i64(lo, hi)));
-        }
-        Ok(())
-    }
     fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
         let (lo, hi) = self.bounds(params)?;
         let k = int_outcome("UniformInt", outcome)?;
@@ -387,25 +343,6 @@ impl ParamDist for UniformInt {
         } else {
             Ok(f64::NEG_INFINITY)
         }
-    }
-    fn log_density_batch(
-        &self,
-        params: &[Value],
-        outcomes: &[Value],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DistError> {
-        let (lo, hi) = self.bounds(params)?;
-        let in_range = -((hi - lo + 1) as f64).ln();
-        out.reserve(outcomes.len());
-        for outcome in outcomes {
-            let k = int_outcome("UniformInt", outcome)?;
-            out.push(if (lo..=hi).contains(&k) {
-                in_range
-            } else {
-                f64::NEG_INFINITY
-            });
-        }
-        Ok(())
     }
     fn enumerate(&self, params: &[Value], _tol: f64) -> Result<Support, DistError> {
         let (lo, hi) = self.bounds(params)?;
@@ -720,20 +657,6 @@ impl ParamDist for Uniform {
         let (a, b) = self.bounds(params)?;
         Ok(Value::real(a + rng.gen_f64() * (b - a)))
     }
-    fn sample_batch(
-        &self,
-        params: &[Value],
-        rngs: &mut [rand::rngs::StdRng],
-        out: &mut Vec<Value>,
-    ) -> Result<(), DistError> {
-        let (a, b) = self.bounds(params)?;
-        let w = b - a;
-        out.reserve(rngs.len());
-        for rng in rngs {
-            out.push(Value::real(a + rng.gen_f64() * w));
-        }
-        Ok(())
-    }
     fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
         let (a, b) = self.bounds(params)?;
         let x = real_outcome("Uniform", outcome)?;
@@ -742,25 +665,6 @@ impl ParamDist for Uniform {
         } else {
             Ok(f64::NEG_INFINITY)
         }
-    }
-    fn log_density_batch(
-        &self,
-        params: &[Value],
-        outcomes: &[Value],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DistError> {
-        let (a, b) = self.bounds(params)?;
-        let in_range = -(b - a).ln();
-        out.reserve(outcomes.len());
-        for outcome in outcomes {
-            let x = real_outcome("Uniform", outcome)?;
-            out.push(if (a..b).contains(&x) {
-                in_range
-            } else {
-                f64::NEG_INFINITY
-            });
-        }
-        Ok(())
     }
     fn cdf(&self, params: &[Value], x: f64) -> Result<f64, DistError> {
         let (a, b) = self.bounds(params)?;
@@ -803,44 +707,11 @@ impl ParamDist for Normal {
         let (mu, var) = self.moments(params)?;
         Ok(Value::real(mu + var.sqrt() * std_normal(rng)))
     }
-    fn sample_batch(
-        &self,
-        params: &[Value],
-        rngs: &mut [rand::rngs::StdRng],
-        out: &mut Vec<Value>,
-    ) -> Result<(), DistError> {
-        let (mu, var) = self.moments(params)?;
-        let sd = var.sqrt();
-        out.reserve(rngs.len());
-        for rng in rngs {
-            out.push(Value::real(mu + sd * std_normal(rng)));
-        }
-        Ok(())
-    }
     fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
         let (mu, var) = self.moments(params)?;
         let x = real_outcome("Normal", outcome)?;
         let z = (x - mu) * (x - mu) / var;
         Ok(-0.5 * (z + var.ln() + (2.0 * std::f64::consts::PI).ln()))
-    }
-    fn log_density_batch(
-        &self,
-        params: &[Value],
-        outcomes: &[Value],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DistError> {
-        let (mu, var) = self.moments(params)?;
-        // Hoisted terms; the per-lane expression keeps the scalar path's
-        // left-to-right addition order, so results are bit-identical.
-        let ln_var = var.ln();
-        let ln_two_pi = (2.0 * std::f64::consts::PI).ln();
-        out.reserve(outcomes.len());
-        for outcome in outcomes {
-            let x = real_outcome("Normal", outcome)?;
-            let z = (x - mu) * (x - mu) / var;
-            out.push(-0.5 * (z + ln_var + ln_two_pi));
-        }
-        Ok(())
     }
     fn cdf(&self, params: &[Value], x: f64) -> Result<f64, DistError> {
         let (mu, var) = self.moments(params)?;
@@ -882,19 +753,6 @@ impl ParamDist for Exponential {
         let l = self.rate(params)?;
         Ok(Value::real(-(1.0 - rng.gen_f64()).ln() / l))
     }
-    fn sample_batch(
-        &self,
-        params: &[Value],
-        rngs: &mut [rand::rngs::StdRng],
-        out: &mut Vec<Value>,
-    ) -> Result<(), DistError> {
-        let l = self.rate(params)?;
-        out.reserve(rngs.len());
-        for rng in rngs {
-            out.push(Value::real(-(1.0 - rng.gen_f64()).ln() / l));
-        }
-        Ok(())
-    }
     fn log_density(&self, params: &[Value], outcome: &Value) -> Result<f64, DistError> {
         let l = self.rate(params)?;
         let x = real_outcome("Exponential", outcome)?;
@@ -903,25 +761,6 @@ impl ParamDist for Exponential {
         } else {
             Ok(l.ln() - l * x)
         }
-    }
-    fn log_density_batch(
-        &self,
-        params: &[Value],
-        outcomes: &[Value],
-        out: &mut Vec<f64>,
-    ) -> Result<(), DistError> {
-        let l = self.rate(params)?;
-        let ln_l = l.ln();
-        out.reserve(outcomes.len());
-        for outcome in outcomes {
-            let x = real_outcome("Exponential", outcome)?;
-            out.push(if x < 0.0 {
-                f64::NEG_INFINITY
-            } else {
-                ln_l - l * x
-            });
-        }
-        Ok(())
     }
     fn cdf(&self, params: &[Value], x: f64) -> Result<f64, DistError> {
         let l = self.rate(params)?;
@@ -1379,6 +1218,7 @@ mod tests {
 
     #[test]
     fn batched_kernels_are_bit_identical_to_scalar() {
+        // Every member batches through the trait's default scalar loop.
         let reg = Registry::standard();
         let cases: Vec<(&str, Vec<Value>)> = vec![
             ("Flip", vec![Value::real(0.37)]),
@@ -1387,7 +1227,6 @@ mod tests {
             ("Uniform", vec![Value::real(2.0), Value::real(6.5)]),
             ("Normal", vec![Value::real(1.5), Value::real(4.0)]),
             ("Exponential", vec![Value::real(0.7)]),
-            // Members on the default scalar-loop fallback.
             ("Geometric", vec![Value::real(0.25)]),
             ("Gamma", vec![Value::real(2.0), Value::real(1.5)]),
         ];

@@ -215,17 +215,13 @@ pub trait ParamDist: Send + Sync {
     }
 
     /// Draws one outcome per RNG lane under a **shared** parameter vector,
-    /// appending to `out` — the batched counterpart of
-    /// [`sample`](ParamDist::sample) used by the batched Monte-Carlo
-    /// executor. Lane `i` must consume exactly the draws that
-    /// `self.sample(params, &mut rngs[i])` would, producing the identical
-    /// outcome — bit-identity with the scalar path is the contract, so
-    /// overrides may hoist parameter validation and derived constants out
-    /// of the lane loop but must keep every per-lane floating-point
-    /// expression unchanged.
-    ///
-    /// The default is the scalar loop; members with hot kernels override
-    /// it with a validate-once tight loop the compiler can vectorize.
+    /// appending to `out` — the batch entry point of the batched
+    /// Monte-Carlo executor. It is the scalar loop over
+    /// [`sample`](ParamDist::sample), and no standard member overrides it,
+    /// so each family draws in one place. A wrapper that overrides it (to
+    /// time or count draws, say) must keep lane `i` equal to
+    /// `self.sample(params, &mut rngs[i])` bit for bit, consuming exactly
+    /// the same draws.
     ///
     /// # Errors
     /// [`DistError`] on inadmissible parameters; `out` then holds the
@@ -244,9 +240,10 @@ pub trait ParamDist: Send + Sync {
     }
 
     /// Log-density of each outcome under a **shared** parameter vector,
-    /// appending to `out` — the batched counterpart of
-    /// [`log_density`](ParamDist::log_density). Entry `i` must equal
-    /// `self.log_density(params, &outcomes[i])` bit-for-bit.
+    /// appending to `out` — the scalar loop over
+    /// [`log_density`](ParamDist::log_density), which no standard member
+    /// overrides. An override must keep entry `i` equal to
+    /// `self.log_density(params, &outcomes[i])` bit for bit.
     ///
     /// # Errors
     /// [`DistError`] on inadmissible parameters or mistyped outcomes;

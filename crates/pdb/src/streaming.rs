@@ -121,12 +121,12 @@ pub trait WorldSink: Send {
         self.observe_log(world.clone(), log_weight);
     }
 
-    /// Folds one lane batch of observations in order. The default is the
-    /// itemwise loop — behaviorally identical to calling the matching
-    /// `observe_*` method per entry, which every override must preserve
-    /// bit-for-bit (the batched Monte-Carlo path relies on it). Hot
-    /// statistic sinks override this so an N-lane batch costs one virtual
-    /// dispatch and a monomorphic fold loop instead of N dispatches.
+    /// Folds one lane batch of observations in order: the itemwise loop,
+    /// calling the matching `observe_*` method per entry. No sink in this
+    /// crate overrides it, so a batch folds exactly as its entries would
+    /// one by one; a wrapper that overrides it (to time or count lanes,
+    /// say) must keep that equality bit for bit, since the batched
+    /// Monte-Carlo path relies on it.
     fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
         for obs in batch {
             match *obs {
@@ -178,9 +178,38 @@ pub trait WorldSink: Send {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// Implements `fork`/`join`/`into_any` for a sink with inherent
-/// `forked(&self) -> Self` and `absorb(&mut self, Self)` methods.
+/// `forkable!()` implements `fork`/`join`/`into_any` for a sink with
+/// inherent `forked(&self) -> Self` and `absorb(&mut self, Self)` methods.
+///
+/// `forkable!(statistic: T)` writes the whole `WorldSink` impl of a
+/// statistic sink `T` that also has `fold(&mut self, &Instance, weight)`
+/// and `scale(&mut self, factor)`: owned worlds fold by reference,
+/// log-weights fold as `exp`, deficits are ignored (a statistic reads
+/// only worlds), `rescale` scales.
 macro_rules! forkable {
+    (statistic: $sink:ty) => {
+        impl WorldSink for $sink {
+            fn observe(&mut self, world: Instance, weight: f64) {
+                self.fold(&world, weight);
+            }
+
+            fn observe_ref(&mut self, world: &Instance, weight: f64) {
+                self.fold(world, weight);
+            }
+
+            fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
+                self.fold(world, log_weight.exp());
+            }
+
+            fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
+
+            fn rescale(&mut self, factor: f64) {
+                self.scale(factor);
+            }
+
+            forkable!();
+        }
+    };
     () => {
         fn fork(&self) -> Option<Box<dyn WorldSink>> {
             Some(Box::new(self.forked()))
@@ -576,17 +605,13 @@ impl WorldSink for MultiplexSink {
         }
     }
 
+    fn observe_log(&mut self, world: Instance, log_weight: f64) {
+        self.observe_log_ref(&world, log_weight);
+    }
+
     fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
         for sink in &mut self.sinks {
             sink.observe_log_ref(world, log_weight);
-        }
-    }
-
-    fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
-        // Whole-batch fan-out: each inner sink folds the batch with its
-        // own (possibly monomorphic) batch loop.
-        for sink in &mut self.sinks {
-            sink.observe_batch(batch);
         }
     }
 
@@ -770,46 +795,19 @@ impl MarginalSink {
     fn absorb(&mut self, other: MarginalSink) {
         self.mass += other.mass;
     }
-}
 
-impl WorldSink for MarginalSink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
+    fn fold(&mut self, world: &Instance, weight: f64) {
         if world.contains(self.fact.rel, &self.fact.tuple) {
             self.mass += weight;
         }
     }
 
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
-        // Monomorphic batch fold: one probe per lane, no per-world
-        // dispatch, no allocation.
-        for obs in batch {
-            let (world, weight) = match *obs {
-                BatchObs::World(world, weight) => (world, weight),
-                BatchObs::LogWorld(world, lw) => (world, lw.exp()),
-                BatchObs::Deficit(..) => continue,
-            };
-            if world.contains(self.fact.rel, &self.fact.tuple) {
-                self.mass += weight;
-            }
-        }
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
+    fn scale(&mut self, factor: f64) {
         self.mass *= factor;
     }
-
-    forkable!();
 }
+
+forkable!(statistic: MarginalSink);
 
 // ---------------------------------------------------------------------------
 // Probability of a measurable event.
@@ -841,44 +839,19 @@ impl EventProbabilitySink {
     fn absorb(&mut self, other: EventProbabilitySink) {
         self.mass += other.mass;
     }
-}
 
-impl WorldSink for EventProbabilitySink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
+    fn fold(&mut self, world: &Instance, weight: f64) {
         if self.event.eval(world) {
             self.mass += weight;
         }
     }
 
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
-        for obs in batch {
-            let (world, weight) = match *obs {
-                BatchObs::World(world, weight) => (world, weight),
-                BatchObs::LogWorld(world, lw) => (world, lw.exp()),
-                BatchObs::Deficit(..) => continue,
-            };
-            if self.event.eval(world) {
-                self.mass += weight;
-            }
-        }
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
+    fn scale(&mut self, factor: f64) {
         self.mass *= factor;
     }
-
-    forkable!();
 }
+
+forkable!(statistic: EventProbabilitySink);
 
 // ---------------------------------------------------------------------------
 // Moments of an aggregate query.
@@ -936,7 +909,31 @@ impl MomentsSink {
         self.weighted_sum += other.weighted_sum;
         self.weighted_sq_sum += other.weighted_sq_sum;
     }
+
+    /// Folds the world's scalar: the aggregate of the query's answers, or
+    /// the empty default. Bare relation scans aggregate directly over the
+    /// instance's stored `BTreeSet` — the same tuples in the same sorted
+    /// fold order as `eval_query`'s clone, so the result is bit-identical
+    /// while the Monte-Carlo hot path allocates nothing per world.
+    fn fold(&mut self, world: &Instance, weight: f64) {
+        let x = match &self.query {
+            Query::Rel(rel) => scalar_aggregate(world.relation(*rel), self.agg),
+            q => scalar_aggregate(&eval_query(q, world), self.agg),
+        }
+        .unwrap_or(self.empty_default);
+        self.weight += weight;
+        self.weighted_sum += x * weight;
+        self.weighted_sq_sum += x * x * weight;
+    }
+
+    fn scale(&mut self, factor: f64) {
+        self.weight *= factor;
+        self.weighted_sum *= factor;
+        self.weighted_sq_sum *= factor;
+    }
 }
+
+forkable!(statistic: MomentsSink);
 
 /// Applies `agg` to the last column of an answer set, the scalar-statistic
 /// convention shared by [`MomentsSink`] and
@@ -964,64 +961,6 @@ pub fn scalar_aggregate(answers: &std::collections::BTreeSet<Tuple>, agg: AggFun
         AggFun::Min => nums().fold(f64::INFINITY, f64::min),
         AggFun::Max => nums().fold(f64::NEG_INFINITY, f64::max),
     })
-}
-
-impl MomentsSink {
-    /// The per-world scalar: aggregate of the query's answers, or the
-    /// empty default. Bare relation scans aggregate directly over the
-    /// instance's stored `BTreeSet` — the same tuples in the same sorted
-    /// fold order as `eval_query`'s clone, so the result is bit-identical
-    /// while the Monte-Carlo hot path allocates nothing per world.
-    fn world_scalar(&self, world: &Instance) -> f64 {
-        let x = match &self.query {
-            Query::Rel(rel) => scalar_aggregate(world.relation(*rel), self.agg),
-            q => scalar_aggregate(&eval_query(q, world), self.agg),
-        };
-        x.unwrap_or(self.empty_default)
-    }
-
-    fn fold(&mut self, x: f64, weight: f64) {
-        self.weight += weight;
-        self.weighted_sum += x * weight;
-        self.weighted_sq_sum += x * x * weight;
-    }
-}
-
-impl WorldSink for MomentsSink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
-        let x = self.world_scalar(world);
-        self.fold(x, weight);
-    }
-
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
-        for obs in batch {
-            let (world, weight) = match *obs {
-                BatchObs::World(world, weight) => (world, weight),
-                BatchObs::LogWorld(world, lw) => (world, lw.exp()),
-                BatchObs::Deficit(..) => continue,
-            };
-            let x = self.world_scalar(world);
-            self.fold(x, weight);
-        }
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
-        self.weight *= factor;
-        self.weighted_sum *= factor;
-        self.weighted_sq_sum *= factor;
-    }
-
-    forkable!();
 }
 
 // ---------------------------------------------------------------------------
@@ -1156,14 +1095,8 @@ impl HistogramSink {
         self.hist.nan += other.hist.nan;
         self.hist.mass += other.hist.mass;
     }
-}
 
-impl WorldSink for HistogramSink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
+    fn fold(&mut self, world: &Instance, weight: f64) {
         self.hist.mass += weight;
         for t in world.relation(self.rel) {
             let Some(x) = t[self.col].as_f64() else {
@@ -1173,24 +1106,7 @@ impl WorldSink for HistogramSink {
         }
     }
 
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_batch(&mut self, batch: &[BatchObs<'_>]) {
-        for obs in batch {
-            let (world, weight) = match *obs {
-                BatchObs::World(world, weight) => (world, weight),
-                BatchObs::LogWorld(world, lw) => (world, lw.exp()),
-                BatchObs::Deficit(..) => continue,
-            };
-            self.observe_ref(world, weight);
-        }
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
+    fn scale(&mut self, factor: f64) {
         for bin in &mut self.hist.bins {
             *bin *= factor;
         }
@@ -1199,9 +1115,9 @@ impl WorldSink for HistogramSink {
         self.hist.nan *= factor;
         self.hist.mass *= factor;
     }
-
-    forkable!();
 }
+
+forkable!(statistic: HistogramSink);
 
 // ---------------------------------------------------------------------------
 // Quantile of a numeric column.
@@ -1290,14 +1206,8 @@ impl QuantileSink {
             *self.acc.entry(value).or_insert(0.0) += weight;
         }
     }
-}
 
-impl WorldSink for QuantileSink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
+    fn fold(&mut self, world: &Instance, weight: f64) {
         for t in world.relation(self.rel) {
             let Some(x) = t[self.col].as_f64() else {
                 continue;
@@ -1314,20 +1224,14 @@ impl WorldSink for QuantileSink {
         }
     }
 
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
+    fn scale(&mut self, factor: f64) {
         for weight in self.acc.values_mut() {
             *weight *= factor;
         }
     }
-
-    forkable!();
 }
+
+forkable!(statistic: QuantileSink);
 
 // ---------------------------------------------------------------------------
 // All fact marginals of one relation.
@@ -1369,33 +1273,21 @@ impl RelationMarginalsSink {
             *self.acc.entry(t).or_insert(0.0) += p;
         }
     }
-}
 
-impl WorldSink for RelationMarginalsSink {
-    fn observe(&mut self, world: Instance, weight: f64) {
-        self.observe_ref(&world, weight);
-    }
-
-    fn observe_ref(&mut self, world: &Instance, weight: f64) {
+    fn fold(&mut self, world: &Instance, weight: f64) {
         for t in world.relation(self.rel) {
             *self.acc.entry(t.clone()).or_insert(0.0) += weight;
         }
     }
 
-    fn observe_log_ref(&mut self, world: &Instance, log_weight: f64) {
-        self.observe_ref(world, log_weight.exp());
-    }
-
-    fn observe_deficit(&mut self, _kind: DeficitKind, _weight: f64) {}
-
-    fn rescale(&mut self, factor: f64) {
+    fn scale(&mut self, factor: f64) {
         for p in self.acc.values_mut() {
             *p *= factor;
         }
     }
-
-    forkable!();
 }
+
+forkable!(statistic: RelationMarginalsSink);
 
 #[cfg(test)]
 mod tests {
@@ -1817,6 +1709,28 @@ mod tests {
             .downcast::<RelationMarginalsSink>()
             .unwrap();
         assert_eq!(rels.finish().len(), 1);
+    }
+
+    #[test]
+    fn multiplex_forwards_owned_log_weights_in_log_space() {
+        // An exact conditioned evaluation emits owned `observe_log`; the
+        // mux must hand the log-weight on, not exponentiate it to 0 first.
+        let fact = Fact::new(r(0), tuple![1i64]);
+        let mut mux = MultiplexSink::new(vec![Box::new(NormalizingSink::log_space(
+            MarginalSink::new(fact.clone()),
+        ))]);
+        let mut with = Instance::new();
+        with.insert(fact.rel, fact.tuple.clone());
+        mux.observe_log(with, -2000.0);
+        let (inner, stats) = mux
+            .into_sinks()
+            .remove(0)
+            .into_any()
+            .downcast::<NormalizingSink<MarginalSink>>()
+            .unwrap()
+            .finish();
+        assert!(stats.normalizer() > 0.0, "the world kept its weight");
+        assert_eq!(inner.finish() / stats.normalizer(), 1.0);
     }
 
     #[test]
