@@ -46,9 +46,9 @@ use crate::policy::{ChasePolicy, PolicyKind};
 use crate::EngineError;
 
 /// The unified evaluation configuration consumed by every [`Backend`]:
-/// the builder owns one options record, and each backend reads the fields
-/// that apply to it.
-#[derive(Debug, Clone, Copy)]
+/// each [`EvalSpec`](crate::EvalSpec) owns one options record, and each
+/// backend reads the fields that apply to it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalOptions {
     /// Number of independent Monte-Carlo runs.
     pub runs: usize,

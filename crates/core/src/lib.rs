@@ -37,6 +37,9 @@
 //! * [`engine`] — the user-facing facade tying everything together,
 //!   including the transformation of probabilistic *inputs*
 //!   (Theorems 4.8/5.5/6.2);
+//! * [`spec`] — the evaluation spec ([`EvalSpec`]): backend choice,
+//!   options and ESS target, built by the [`Evaluation`] setters, carried
+//!   by serving requests, and checked once before any backend runs;
 //! * [`queryset`] — first-class queries ([`QueryIr`]/[`QuerySet`]):
 //!   many statistics answered in **one** backend pass through a sink
 //!   multiplexer, with conditioning normalization computed once and
@@ -58,6 +61,7 @@ pub mod queryset;
 pub mod saturate;
 pub mod sequential;
 pub mod session;
+pub mod spec;
 pub mod tree;
 
 pub use applicability::{applicable_pairs, AppPair, ChaseState, PreparedProgram};
@@ -75,5 +79,6 @@ pub use observe::{log_weight, weight as observation_weight};
 pub use policy::{ChasePolicy, PolicyKind};
 pub use queryset::{tail_event, Answer, Answers, QueryIr, QuerySet};
 pub use sequential::{run_sequential, ChaseRun, RunOutcome, TraceStep};
-pub use session::{EssTarget, Evaluation, EvidenceSummary, Session};
+pub use session::{Evaluation, EvidenceSummary, Session};
+pub use spec::{BackendChoice, EssTarget, EvalSpec};
 pub use tree::{build_chase_tree, ChaseNode, ChaseTree};

@@ -5,7 +5,10 @@
 //! program compiled once can answer many queries over evolving inputs.
 //! Every evaluation goes through the builder-style [`Evaluation`] returned
 //! by [`Session::eval`] (or [`Engine::eval`]): configure the run with
-//! chained setters, then finish with a typed terminal —
+//! chained setters — each one write into the evaluation's [`EvalSpec`],
+//! the spec a serving request carries and `gdl query` lowers its flags
+//! onto, checked by [`EvalSpec::validate`] before any backend runs — then
+//! finish with a typed terminal —
 //! [`worlds`](Evaluation::worlds), [`pdb`](Evaluation::pdb),
 //! [`marginal`](Evaluation::marginal),
 //! [`probability`](Evaluation::probability),
@@ -41,8 +44,7 @@ use rand::SeedableRng;
 
 use crate::applicability::PreparedProgram;
 use crate::backend::{
-    existential_rule_ids, Backend, EvalJob, EvalOptions, ExactParallelBackend,
-    ExactSequentialBackend, McBackend, RunBudget,
+    existential_rule_ids, Backend, EvalJob, ExactParallelBackend, ExactSequentialBackend, McBackend,
 };
 use crate::engine::{Engine, EngineError};
 use crate::mc::ChaseVariant;
@@ -50,6 +52,7 @@ use crate::mcmc::MhBackend;
 use crate::policy::{ChasePolicy, PolicyKind};
 use crate::queryset::{Answer, Answers, QuerySet};
 use crate::sequential::{run_sequential, ChaseRun};
+use crate::spec::{BackendChoice, EssTarget, EvalSpec};
 
 /// A compiled program plus a persistent extensional database: the serving
 /// surface of the engine. Compile once, [insert facts](Session::insert_facts)
@@ -272,78 +275,14 @@ pub struct EvidenceSummary {
     pub accept_rate: Option<f64>,
 }
 
-/// The stopping rule of [`Evaluation::sample_until`]: grow the
-/// likelihood-weighted run count in deterministic batches until the
-/// effective sample size reaches `target` (or the `max_runs`/deadline cap
-/// hits). Batches double from `initial_batch`, and every run's seed
-/// derives from its global run index, so the sampled stream is a prefix
-/// of the fixed-run stream with the same seed — the adaptive answer is
-/// reproducible and grows monotonically. Lane sharing spans every batch
-/// and round of one evaluation: the rounds reuse each worker slot's
-/// chase-tree memo (see [`EvalOptions::batch`]), so a round walks the
-/// outcome paths earlier rounds chased instead of chasing them again.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EssTarget {
-    /// Stop once the achieved effective sample size reaches this.
-    pub target: f64,
-    /// Hard cap on the total run count (the target may not be reachable —
-    /// sharp evidence can pin ESS near 1 regardless of effort).
-    pub max_runs: usize,
-    /// Size of the first batch; subsequent batches double.
-    pub initial_batch: usize,
-}
-
-impl EssTarget {
-    /// A target with the default caps: at most `1 << 20` runs, first
-    /// batch 512.
-    pub fn new(target: f64) -> EssTarget {
-        EssTarget {
-            target,
-            max_runs: 1 << 20,
-            initial_batch: 512,
-        }
-    }
-
-    /// Replaces the run cap (chainable).
-    pub fn max_runs(mut self, cap: usize) -> EssTarget {
-        self.max_runs = cap;
-        self
-    }
-
-    /// Replaces the first-batch size (chainable).
-    pub fn initial_batch(mut self, runs: usize) -> EssTarget {
-        self.initial_batch = runs;
-        self
-    }
-
-    /// The validated [`RunBudget`] of this target for a given executor
-    /// lane-batch size ([`EvalOptions::batch`]) — the shared run-count
-    /// plumbing behind the adaptive driver.
-    pub fn budget(&self, batch: usize) -> RunBudget {
-        RunBudget::adaptive(self.max_runs, self.initial_batch, batch)
-    }
-}
-
-/// Which evaluation strategy the builder selected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BackendChoice {
-    /// Pick per terminal: exact for discrete programs, Monte-Carlo when the
-    /// program samples a continuous distribution.
-    Auto,
-    /// Exact sequential chase-tree enumeration.
-    ExactSequential,
-    /// Exact parallel chase enumeration.
-    ExactParallel,
-    /// Monte-Carlo path sampling.
-    Mc,
-    /// Single-site Metropolis-Hastings over chase traces.
-    Mh,
-}
-
 /// A configured evaluation request: chain setters, then call a typed
 /// terminal. Created by [`Session::eval`], [`Engine::eval`], or
 /// [`Engine::eval_on`].
 ///
+/// The setters write into one [`EvalSpec`], the configuration a serving
+/// request carries too; every terminal runs [`EvalSpec::validate`]
+/// before any backend runs, so a combination the chosen backend would
+/// ignore is an [`EngineError::InvalidRequest`], not a silent no-op.
 /// Unless [`exact`](Evaluation::exact),
 /// [`exact_parallel`](Evaluation::exact_parallel), or
 /// [`sample`](Evaluation::sample) is called, the backend is picked
@@ -352,18 +291,13 @@ enum BackendChoice {
 pub struct Evaluation<'a> {
     program: &'a CompiledProgram,
     input: Cow<'a, Instance>,
-    options: EvalOptions,
-    choice: BackendChoice,
+    spec: EvalSpec,
     /// Shared chase plans (from the owning [`Engine`]/[`Session`]); when
     /// present, backends skip per-request planning.
     prepared: Option<Arc<PreparedProgram>>,
     /// Per-request evidence text (compiled lazily at the terminal, on top
     /// of the program's own `@observe` clauses).
     given: Vec<String>,
-    /// When set, statistic terminals grow the Monte-Carlo run count in
-    /// batches until the effective sample size reaches the target (see
-    /// [`Evaluation::sample_until`]).
-    ess_target: Option<EssTarget>,
 }
 
 impl<'a> Evaluation<'a> {
@@ -371,12 +305,16 @@ impl<'a> Evaluation<'a> {
         Evaluation {
             program,
             input,
-            options: EvalOptions::default(),
-            choice: BackendChoice::Auto,
+            spec: EvalSpec::default(),
             prepared: None,
             given: Vec::new(),
-            ess_target: None,
         }
+    }
+
+    /// One write into the spec.
+    fn with(mut self, set: impl FnOnce(EvalSpec) -> EvalSpec) -> Evaluation<'a> {
+        self.spec = set(self.spec);
+        self
     }
 
     /// Attaches pre-built chase plans (must belong to this program), so
@@ -398,9 +336,8 @@ impl<'a> Evaluation<'a> {
     /// let worlds = s.eval().exact().worlds().unwrap();
     /// assert_eq!(worlds.len(), 2);
     /// ```
-    pub fn exact(mut self) -> Evaluation<'a> {
-        self.choice = BackendChoice::ExactSequential;
-        self
+    pub fn exact(self) -> Evaluation<'a> {
+        self.with(|s| s.backend(BackendChoice::Exact))
     }
 
     /// Forces exact **parallel** chase enumeration (Def. 5.2); the result
@@ -415,9 +352,8 @@ impl<'a> Evaluation<'a> {
     /// let par = s.eval().exact_parallel().worlds().unwrap();
     /// assert!(seq.total_variation(&par) < 1e-12);
     /// ```
-    pub fn exact_parallel(mut self) -> Evaluation<'a> {
-        self.choice = BackendChoice::ExactParallel;
-        self
+    pub fn exact_parallel(self) -> Evaluation<'a> {
+        self.with(|s| s.backend(BackendChoice::ExactParallel))
     }
 
     /// Forces Monte-Carlo path sampling with `runs` independent runs
@@ -431,10 +367,8 @@ impl<'a> Evaluation<'a> {
     /// let pdb = s.eval().sample(500).pdb().unwrap();
     /// assert_eq!(pdb.runs(), 500);
     /// ```
-    pub fn sample(mut self, runs: usize) -> Evaluation<'a> {
-        self.choice = BackendChoice::Mc;
-        self.options.runs = runs;
-        self
+    pub fn sample(self, runs: usize) -> Evaluation<'a> {
+        self.with(|s| s.backend(BackendChoice::Mc).runs(runs))
     }
 
     /// **Adaptive** Monte-Carlo: grows the run count in deterministic
@@ -444,7 +378,12 @@ impl<'a> Evaluation<'a> {
     /// ESS and consumed run count are reported in the
     /// [`EvidenceSummary`]. Honored by [`answer`](Evaluation::answer) and
     /// every statistic terminal; `worlds()`, `pdb()`, and the raw
-    /// `collect_*` escape hatches use the fixed run count.
+    /// `collect_*` escape hatches use the fixed run count. A run count set
+    /// by [`sample`](Evaluation::sample) is the first batch (as the
+    /// wire's `runs` beside `infer`). The target must be finite and ≥ 1,
+    /// and the backend stays Monte-Carlo: a later
+    /// [`exact`](Evaluation::exact) or [`mh`](Evaluation::mh) is an
+    /// [`EngineError::InvalidRequest`].
     ///
     /// ```
     /// use gdatalog_core::{EssTarget, Session};
@@ -464,18 +403,17 @@ impl<'a> Evaluation<'a> {
     /// assert!(ev.ess >= 200.0);
     /// assert!(ev.runs >= ev.ess as usize);
     /// ```
-    pub fn sample_until(mut self, target: EssTarget) -> Evaluation<'a> {
-        self.choice = BackendChoice::Mc;
-        self.ess_target = Some(target);
-        self
+    pub fn sample_until(self, target: EssTarget) -> Evaluation<'a> {
+        self.with(|s| s.backend(BackendChoice::Mc).ess_target(target))
     }
 
     /// Forces the single-site **Metropolis-Hastings** backend with
     /// `samples` kept states (see [`MhBackend`]):
     /// posterior inference that stays effective where likelihood
     /// weighting collapses (sharp or many-observation evidence). Burn-in
-    /// and thinning default to [`EvalOptions`] values; override with
-    /// [`burn_in`](Evaluation::burn_in) / [`thin`](Evaluation::thin).
+    /// and thinning default to [`EvalOptions`](crate::EvalOptions)
+    /// values; override with [`burn_in`](Evaluation::burn_in) /
+    /// [`thin`](Evaluation::thin).
     /// The MH stream does **not** estimate the evidence mass — the
     /// reported `mass` is 1.
     ///
@@ -493,24 +431,22 @@ impl<'a> Evaluation<'a> {
     ///     .marginal(&Fact::new(r, tuple![1i64])).unwrap();
     /// assert!((p - 1.0).abs() < 1e-12, "only R(1) worlds derive S(1)");
     /// ```
-    pub fn mh(mut self, samples: usize) -> Evaluation<'a> {
-        self.choice = BackendChoice::Mh;
-        self.options.runs = samples;
-        self
+    pub fn mh(self, samples: usize) -> Evaluation<'a> {
+        self.with(|s| s.backend(BackendChoice::Mh).runs(samples))
     }
 
     /// Sets the number of Markov-chain iterations discarded before the
-    /// first kept sample (MH backend only).
-    pub fn burn_in(mut self, steps: usize) -> Evaluation<'a> {
-        self.options.burn_in = steps;
-        self
+    /// first kept sample (MH backend only: on any other backend the
+    /// terminals reject it).
+    pub fn burn_in(self, steps: usize) -> Evaluation<'a> {
+        self.with(|s| s.burn_in(steps))
     }
 
     /// Sets the thinning interval: keep every `every`-th post-burn-in
-    /// state (MH backend only; 1 keeps every state).
-    pub fn thin(mut self, every: usize) -> Evaluation<'a> {
-        self.options.thin = every;
-        self
+    /// state (MH backend only, as [`burn_in`](Evaluation::burn_in);
+    /// 1 keeps every state, and 0 is rejected).
+    pub fn thin(self, every: usize) -> Evaluation<'a> {
+        self.with(|s| s.thin(every))
     }
 
     // -- configuration -----------------------------------------------------
@@ -530,14 +466,14 @@ impl<'a> Evaluation<'a> {
     /// let multi = s.eval().sample(2000).threads(4).pdb().unwrap();
     /// assert_eq!(single.samples(), multi.samples());
     /// ```
-    pub fn threads(mut self, threads: usize) -> Evaluation<'a> {
-        self.options.threads = threads;
-        self
+    pub fn threads(self, threads: usize) -> Evaluation<'a> {
+        self.with(|s| s.threads(threads))
     }
 
     /// Sets the Monte-Carlo lane-batch size: how many runs the lane-group
     /// executor drives in lockstep, sharing the deterministic chase
-    /// prefix and the per-step kernel work (see [`EvalOptions::batch`]).
+    /// prefix and the per-step kernel work (see
+    /// [`EvalOptions::batch`](crate::EvalOptions::batch)).
     /// Results are **bit-identical** at any batch size; at `1` every run
     /// is a lane group of its own. This is a throughput knob, not a
     /// semantics knob.
@@ -551,9 +487,8 @@ impl<'a> Evaluation<'a> {
     /// let batched = s.eval().sample(2000).batch(256).pdb().unwrap();
     /// assert_eq!(one_lane.samples(), batched.samples());
     /// ```
-    pub fn batch(mut self, batch: usize) -> Evaluation<'a> {
-        self.options.batch = batch.max(1);
-        self
+    pub fn batch(self, batch: usize) -> Evaluation<'a> {
+        self.with(|s| s.batch(batch))
     }
 
     /// Sets the Monte-Carlo master seed (run `i` uses a deterministic
@@ -568,9 +503,8 @@ impl<'a> Evaluation<'a> {
     /// let b = s.eval().sample(100).seed(7).pdb().unwrap();
     /// assert_eq!(a.samples(), b.samples());
     /// ```
-    pub fn seed(mut self, seed: u64) -> Evaluation<'a> {
-        self.options.seed = seed;
-        self
+    pub fn seed(self, seed: u64) -> Evaluation<'a> {
+        self.with(|s| s.seed(seed))
     }
 
     /// Sets the chase policy (the measurable selection of §3.3) for
@@ -586,19 +520,16 @@ impl<'a> Evaluation<'a> {
     /// let reversed = s.eval().policy(PolicyKind::Reverse).worlds().unwrap();
     /// assert!(canonical.total_variation(&reversed) < 1e-12);
     /// ```
-    pub fn policy(mut self, policy: PolicyKind) -> Evaluation<'a> {
-        self.options.policy = policy;
-        if let ChaseVariant::Sequential(_) = self.options.variant {
-            self.options.variant = ChaseVariant::Sequential(policy);
-        }
-        self
+    pub fn policy(self, policy: PolicyKind) -> Evaluation<'a> {
+        self.with(|s| s.policy(policy))
     }
 
     /// Sets the chase budget: one unit is one chase step (sequential), one
     /// round (parallel), or one derived fact tested only before a sampling
     /// step (saturating, whose deterministic fixpoints are counted but not
-    /// cut; see [`EvalOptions::max_depth`]). Mass beyond the budget is
-    /// charged to the non-termination deficit (the paper's `err`, §4.2).
+    /// cut; see [`EvalOptions::max_depth`](crate::EvalOptions::max_depth)).
+    /// Mass beyond the budget is charged to the non-termination deficit
+    /// (the paper's `err`, §4.2).
     ///
     /// ```
     /// use gdatalog_core::Session;
@@ -611,9 +542,8 @@ impl<'a> Evaluation<'a> {
     /// let worlds = s.eval().exact().max_depth(6).worlds().unwrap();
     /// assert!(worlds.deficit().nontermination > 0.0);
     /// ```
-    pub fn max_depth(mut self, depth: usize) -> Evaluation<'a> {
-        self.options.max_depth = depth;
-        self
+    pub fn max_depth(self, depth: usize) -> Evaluation<'a> {
+        self.with(|s| s.max_depth(depth))
     }
 
     /// Sets the tail mass at which countably-infinite discrete supports are
@@ -627,9 +557,8 @@ impl<'a> Evaluation<'a> {
     /// let worlds = s.eval().exact().support_tol(1e-4).worlds().unwrap();
     /// assert!(worlds.deficit().truncation <= 1e-4 + 1e-9);
     /// ```
-    pub fn support_tol(mut self, tol: f64) -> Evaluation<'a> {
-        self.options.support_tol = tol;
-        self
+    pub fn support_tol(self, tol: f64) -> Evaluation<'a> {
+        self.with(|s| s.support_tol(tol))
     }
 
     /// Prunes exact-enumeration paths whose probability falls below the
@@ -643,13 +572,15 @@ impl<'a> Evaluation<'a> {
     /// let worlds = s.eval().exact().min_path_prob(0.01).worlds().unwrap();
     /// assert!(worlds.deficit().nontermination > 0.0, "rare branch pruned");
     /// ```
-    pub fn min_path_prob(mut self, p: f64) -> Evaluation<'a> {
-        self.options.min_path_prob = p;
-        self
+    pub fn min_path_prob(self, p: f64) -> Evaluation<'a> {
+        self.with(|s| s.min_path_prob(p))
     }
 
     /// Sets the chase procedure driving each Monte-Carlo run (sequential
-    /// under a policy, parallel, or saturating).
+    /// under a policy, parallel, or saturating). Only Monte-Carlo reads
+    /// it: exact enumeration and MH chains step the sequential chase, so
+    /// a parallel or saturating variant on them (or on `auto` resolving
+    /// to exact) is an [`EngineError::InvalidRequest`].
     ///
     /// ```
     /// use gdatalog_core::{ChaseVariant, Session};
@@ -659,9 +590,8 @@ impl<'a> Evaluation<'a> {
     /// let pdb = s.eval().sample(500).variant(ChaseVariant::Parallel).pdb().unwrap();
     /// assert_eq!(pdb.runs(), 500);
     /// ```
-    pub fn variant(mut self, variant: ChaseVariant) -> Evaluation<'a> {
-        self.options.variant = variant;
-        self
+    pub fn variant(self, variant: ChaseVariant) -> Evaluation<'a> {
+        self.with(|s| s.variant(variant))
     }
 
     /// Conditions the evaluation on **evidence**: the same statements as
@@ -712,9 +642,8 @@ impl<'a> Evaluation<'a> {
     /// let out_facts: usize = projected.iter().map(|(d, _)| d.len()).sum();
     /// assert!(raw_facts > out_facts);
     /// ```
-    pub fn keep_aux(mut self, keep: bool) -> Evaluation<'a> {
-        self.options.keep_aux = keep;
-        self
+    pub fn keep_aux(self, keep: bool) -> Evaluation<'a> {
+        self.with(|s| s.keep_aux(keep))
     }
 
     /// Sets a cooperative per-request deadline: the chase loops check it
@@ -731,41 +660,19 @@ impl<'a> Evaluation<'a> {
     /// let err = s.eval().deadline(Instant::now()).worlds().unwrap_err();
     /// assert!(matches!(err, EngineError::DeadlineExceeded));
     /// ```
-    pub fn deadline(mut self, deadline: std::time::Instant) -> Evaluation<'a> {
-        self.options.deadline = Some(deadline);
-        self
+    pub fn deadline(self, deadline: std::time::Instant) -> Evaluation<'a> {
+        self.with(|s| s.deadline(deadline))
     }
 
-    /// Replaces the whole options record (bulk configuration).
-    pub fn options(mut self, options: EvalOptions) -> Evaluation<'a> {
-        self.options = options;
-        self
+    /// Replaces the whole spec — how a serving request, which carries
+    /// one, configures its evaluation.
+    pub fn with_spec(self, spec: EvalSpec) -> Evaluation<'a> {
+        self.with(|_| spec)
     }
 
-    /// The current options record.
-    pub fn current_options(&self) -> &EvalOptions {
-        &self.options
-    }
-
-    // -- backend resolution ------------------------------------------------
-
-    fn auto_backend(&self) -> BackendChoice {
-        if self.program.all_discrete() {
-            BackendChoice::ExactSequential
-        } else {
-            BackendChoice::Mc
-        }
-    }
-
-    fn backend_for(&self, choice: BackendChoice) -> Box<dyn Backend> {
-        match choice {
-            BackendChoice::ExactSequential | BackendChoice::Auto => {
-                Box::new(ExactSequentialBackend)
-            }
-            BackendChoice::ExactParallel => Box::new(ExactParallelBackend),
-            BackendChoice::Mc => Box::new(McBackend),
-            BackendChoice::Mh => Box::new(MhBackend::default()),
-        }
+    /// The spec the setters have built.
+    pub fn spec(&self) -> &EvalSpec {
+        &self.spec
     }
 
     /// Whether any evidence applies — program-level `@observe` clauses or
@@ -777,12 +684,15 @@ impl<'a> Evaluation<'a> {
         if self.given.is_empty() {
             return Ok(self.program.has_observes());
         }
-        Ok(!self.observes()?.is_empty())
+        Ok(!self.prepare()?.is_empty())
     }
 
-    /// The full compiled observation set: the program's `@observe` clauses
-    /// plus the per-request [`given`](Evaluation::given) evidence.
-    fn observes(&self) -> Result<Cow<'a, [CompiledObserve]>, EngineError> {
+    /// The step before every backend pass: runs the spec's checks
+    /// ([`EvalSpec::validate`]), then compiles the full observation set —
+    /// the program's `@observe` clauses plus the per-request
+    /// [`given`](Evaluation::given) evidence.
+    fn prepare(&self) -> Result<Cow<'a, [CompiledObserve]>, EngineError> {
+        self.spec.validate()?;
         if self.given.is_empty() {
             return Ok(Cow::Borrowed(&self.program.observes));
         }
@@ -801,15 +711,32 @@ impl<'a> Evaluation<'a> {
             program: self.program,
             prepared: self.prepared.as_deref(),
             input: &self.input,
-            options: &self.options,
+            options: &self.spec.options,
             observes,
         }
     }
 
-    fn run_with(&self, choice: BackendChoice, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        let observes = self.observes()?;
-        self.backend_for(choice)
-            .run(&self.job_with(&observes), sink)
+    /// Runs the shipped backend `choice` names (once `auto` is resolved
+    /// by the terminal), returning the MH chain's acceptance rate.
+    fn run_with(
+        &self,
+        choice: BackendChoice,
+        sink: &mut dyn WorldSink,
+    ) -> Result<Option<f64>, EngineError> {
+        let observes = self.prepare()?;
+        self.spec.check_variant(choice)?;
+        let job = self.job_with(&observes);
+        match choice {
+            BackendChoice::Auto | BackendChoice::Exact => ExactSequentialBackend.run(&job, sink)?,
+            BackendChoice::ExactParallel => ExactParallelBackend.run(&job, sink)?,
+            BackendChoice::Mc => McBackend.run(&job, sink)?,
+            BackendChoice::Mh => {
+                let mh = MhBackend::default();
+                mh.run(&job, sink)?;
+                return Ok(mh.acceptance_rate());
+            }
+        }
+        Ok(None)
     }
 
     /// Runs under a **log-space** [`NormalizingSink`], returning the inner
@@ -830,13 +757,6 @@ impl<'a> Evaluation<'a> {
             return Err(EngineError::ZeroEvidence);
         }
         Ok((inner, stats))
-    }
-
-    fn resolved_choice(&self) -> BackendChoice {
-        match self.choice {
-            BackendChoice::Auto => self.auto_backend(),
-            c => c,
-        }
     }
 
     // -- terminals ---------------------------------------------------------
@@ -860,7 +780,8 @@ impl<'a> Evaluation<'a> {
     /// # Errors
     /// Backend evaluation errors.
     pub fn collect_into(&self, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        self.run_with(self.resolved_choice(), sink)
+        self.run_with(self.spec.resolve(self.program).backend, sink)
+            .map(|_| ())
     }
 
     /// Like [`Evaluation::collect_into`], with a caller-supplied backend —
@@ -873,7 +794,7 @@ impl<'a> Evaluation<'a> {
         backend: &dyn Backend,
         sink: &mut dyn WorldSink,
     ) -> Result<(), EngineError> {
-        let observes = self.observes()?;
+        let observes = self.prepare()?;
         backend.run(&self.job_with(&observes), sink)
     }
 
@@ -948,7 +869,7 @@ impl<'a> Evaluation<'a> {
         queries.validate(self.program)?;
         let conditioned = self.is_conditioned()?;
         if backend.is_none() {
-            if let Some(target) = self.ess_target {
+            if let Some(target) = self.spec.adaptive_target() {
                 return self.answer_adaptive(queries, conditioned, target);
             }
         }
@@ -962,23 +883,14 @@ impl<'a> Evaluation<'a> {
         } else {
             NormalizingSink::new(mux)
         };
-        let choice = self.resolved_choice();
-        let mut accept_rate = None;
-        match backend {
-            None if choice == BackendChoice::Mh => {
-                // Constructed locally (not via `backend_for`) so the
-                // acceptance counters can be read back after the pass.
-                let mh = MhBackend::default();
-                let observes = self.observes()?;
-                mh.run(&self.job_with(&observes), &mut wrapper)?;
-                accept_rate = mh.acceptance_rate();
-            }
+        let choice = self.spec.resolve(self.program).backend;
+        let accept_rate = match backend {
             None => self.run_with(choice, &mut wrapper)?,
             Some(backend) => {
-                let observes = self.observes()?;
-                backend.run(&self.job_with(&observes), &mut wrapper)?;
+                self.collect_with(backend, &mut wrapper)?;
+                None
             }
-        }
+        };
         let (mux, stats) = wrapper.finish();
         if conditioned && stats.normalizer() <= 0.0 {
             return Err(EngineError::ZeroEvidence);
@@ -989,7 +901,7 @@ impl<'a> Evaluation<'a> {
         let norm = conditioned.then(|| stats.normalizer());
         let answers = queries.finish(mux.into_sinks(), norm);
         let runs = match (backend, choice) {
-            (None, BackendChoice::Mc | BackendChoice::Mh) => self.options.runs,
+            (None, BackendChoice::Mc | BackendChoice::Mh) => self.spec.options.runs,
             _ => stats.worlds,
         };
         Ok(Answers::new(
@@ -1019,13 +931,13 @@ impl<'a> Evaluation<'a> {
         conditioned: bool,
         target: EssTarget,
     ) -> Result<Answers, EngineError> {
-        let observes = self.observes()?;
+        let observes = self.prepare()?;
         let job = self.job_with(&observes);
         let mut wrapper = NormalizingSink::log_space(MultiplexSink::new(queries.sinks()));
         // One validated budget carries every run-count invariant; the
         // schedule grows in whole executor lane batches so a stopping-rule
         // poll never lands mid-batch (the cap may still cut the last one).
-        let budget = target.budget(self.options.batch);
+        let budget = target.budget(self.spec.options.batch);
         let max_runs = budget.max_runs;
         let mut batch = budget.initial_batch;
         let mut done = 0usize;
@@ -1117,8 +1029,8 @@ impl<'a> Evaluation<'a> {
     /// continuous program — use [`sample`](Evaluation::sample);
     /// [`EngineError::ZeroEvidence`] when conditioning rejects all mass.
     pub fn worlds(&self) -> Result<PossibleWorlds, EngineError> {
-        let choice = match self.choice {
-            BackendChoice::Auto => BackendChoice::ExactSequential,
+        let choice = match self.spec.backend {
+            BackendChoice::Auto => BackendChoice::Exact,
             c => c,
         };
         if !self.is_conditioned()? {
@@ -1153,7 +1065,7 @@ impl<'a> Evaluation<'a> {
     /// # Errors
     /// [`EngineError::InvalidRequest`] if an exact backend was forced.
     pub fn pdb(&self) -> Result<EmpiricalPdb, EngineError> {
-        match self.choice {
+        match self.spec.backend {
             BackendChoice::Auto | BackendChoice::Mc => {}
             _ => {
                 return Err(EngineError::InvalidRequest(
@@ -1463,32 +1375,27 @@ impl<'a> Evaluation<'a> {
     /// a single run cannot represent a posterior, and silently tracing
     /// the prior would misread as one.
     pub fn trace(&self) -> Result<ChaseRun, EngineError> {
-        if !self.given.is_empty() {
-            // Compile first so malformed evidence text surfaces as its own
-            // error; text that compiles to zero observations (empty or
-            // comment-only) is a no-op, not a rejection.
-            let mut given_observes = 0usize;
-            for text in &self.given {
-                given_observes += compile_observations(self.program, text)?.len();
-            }
-            if given_observes > 0 {
-                return Err(EngineError::InvalidRequest(
-                    "trace() records a single prior chase run and cannot honor \
-                     given() evidence; drop given() or use worlds()/statistic \
-                     terminals for the posterior"
-                        .to_string(),
-                ));
-            }
+        // `prepare` compiles the evidence first, so malformed text surfaces
+        // as its own error; text that compiles to zero observations (empty
+        // or comment-only) is a no-op, not a rejection.
+        if self.prepare()?.len() > self.program.observes.len() {
+            return Err(EngineError::InvalidRequest(
+                "trace() records a single prior chase run and cannot honor \
+                 given() evidence; drop given() or use worlds()/statistic \
+                 terminals for the posterior"
+                    .to_string(),
+            ));
         }
+        let options = &self.spec.options;
         let existential = existential_rule_ids(self.program);
-        let mut policy = ChasePolicy::new(self.options.policy, &existential);
-        let mut rng = StdRng::seed_from_u64(self.options.seed);
+        let mut policy = ChasePolicy::new(options.policy, &existential);
+        let mut rng = StdRng::seed_from_u64(options.seed);
         run_sequential(
             self.program,
             &self.input,
             &mut policy,
             &mut rng,
-            self.options.max_depth,
+            options.max_depth,
             true,
         )
         .map_err(EngineError::Dist)
@@ -1527,8 +1434,8 @@ impl<'a> Evaluation<'a> {
     /// posterior of the mixture — condition the transformed table
     /// yourself); else the errors of [`Evaluation::worlds`].
     pub fn transform(&self, input: &PossibleWorlds) -> Result<PossibleWorlds, EngineError> {
-        let choice = match self.choice {
-            BackendChoice::Auto => BackendChoice::ExactSequential,
+        let spec = match self.spec.backend {
+            BackendChoice::Auto => self.spec.backend(BackendChoice::Exact),
             BackendChoice::Mc | BackendChoice::Mh => {
                 return Err(EngineError::InvalidRequest(
                     "transform() mixes exact world tables; do not combine it with \
@@ -1536,7 +1443,7 @@ impl<'a> Evaluation<'a> {
                         .to_string(),
                 ))
             }
-            c => c,
+            _ => self.spec,
         };
         if self.is_conditioned()? {
             return Err(EngineError::InvalidRequest(
@@ -1550,11 +1457,9 @@ impl<'a> Evaluation<'a> {
             let part = Evaluation {
                 program: self.program,
                 input: Cow::Owned(self.input.union(world)),
-                options: self.options,
-                choice,
+                spec,
                 prepared: self.prepared.clone(),
                 given: Vec::new(),
-                ess_target: None,
             };
             parts.push((p, part.worlds()?));
         }
@@ -1903,5 +1808,28 @@ mod tests {
             session.eval().worlds().unwrap_err(),
             EngineError::NotDiscrete(_)
         ));
+    }
+
+    /// A NaN target used to run to the 1 << 20 run cap and a target below
+    /// 1 to stop after the first batch; both are the wire's rejection now.
+    #[test]
+    fn out_of_range_ess_targets_are_invalid_requests() {
+        let session = Session::from_source(
+            "R(Flip<0.5>) :- true. S(Flip<0.5>) :- true.",
+            SemanticsMode::Grohe,
+        )
+        .unwrap();
+        for target in [f64::NAN, 0.5] {
+            let eval = session.eval().sample_until(EssTarget::new(target));
+            match eval.evidence().unwrap_err() {
+                EngineError::InvalidRequest(reason) => assert_eq!(
+                    reason,
+                    format!(
+                        "`infer.target` must be a finite effective sample size ≥ 1, got {target}"
+                    )
+                ),
+                other => panic!("{target}: {other:?}"),
+            }
+        }
     }
 }

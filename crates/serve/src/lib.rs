@@ -62,9 +62,10 @@
 //! ```
 //!
 //! The same surface drives `gdl batch <requests.json>` and `gdl query`,
-//! which lowers its flags to a [`Request`] and answers through
-//! [`execute_with`]; the wire format lives in [`request`] and the
-//! dependency-free JSON reader in [`json`].
+//! which lowers its flags to a [`Request`] — its evaluation flags onto
+//! the request's `EvalSpec` — and answers through [`execute_on`]; the
+//! wire format lives in [`request`] and the dependency-free JSON reader
+//! in [`json`].
 
 use std::fmt;
 
@@ -82,10 +83,9 @@ pub use cache::{CacheStats, PreparedModel, ProgramCache, CACHE_SHARDS};
 pub use metrics::{Metrics, MetricsRecorder};
 pub use pool::{PoolStats, PooledSession, SessionPool, DEFAULT_MAX_IDLE, POOL_SHARDS};
 pub use request::{
-    batch_items, fact_text, parse_agg, query_from_json, BackendSpec, QueryKind, Reply, Request,
-    Response,
+    batch_items, fact_text, parse_agg, query_from_json, QueryKind, Reply, Request, Response,
 };
-pub use server::{execute_on, execute_with, BatchExecutor, Server};
+pub use server::{execute_on, BatchExecutor, Server};
 
 /// Errors of the serving layer.
 #[derive(Debug, Clone)]

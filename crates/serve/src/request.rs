@@ -5,9 +5,12 @@
 //! can travel as JSON; the executor resolves them against the cached
 //! program's catalog at evaluation time. Each request carries its own
 //! input facts (inserted into the pooled session before evaluation),
-//! conditioning evidence, backend choice, and Monte-Carlo configuration —
-//! requests in one batch are fully independent, which is what makes
-//! batched execution embarrassingly parallel *and* bit-reproducible.
+//! conditioning evidence, and [`EvalSpec`] — the backend choice and
+//! configuration an `Evaluation` holds, so each configuration member of
+//! the wire maps onto one spec setter and the spec's own
+//! [`validate`](EvalSpec::validate) checks it. Requests in one batch are
+//! fully independent, which is what makes batched execution
+//! embarrassingly parallel *and* bit-reproducible.
 //!
 //! A request may ask **several queries at once** (the `"queries"` wire
 //! member / [`Request::query`]); the executor answers all of them in one
@@ -37,54 +40,12 @@
 //! assert_eq!(multi.queries.len(), 3);
 //! ```
 
-use gdatalog_core::EvidenceSummary;
+use gdatalog_core::{BackendChoice, EngineError, EssTarget, EvalSpec, EvidenceSummary};
 use gdatalog_data::{Catalog, Fact};
-use gdatalog_lang::CompiledProgram;
 use gdatalog_pdb::{AggFun, ColumnHistogram, Moments};
 
 use crate::json::Json;
 use crate::ServeError;
-
-/// Which evaluation strategy a request asks for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BackendSpec {
-    /// Let the builder pick: exact for discrete programs, Monte-Carlo for
-    /// continuous ones.
-    #[default]
-    Auto,
-    /// Exact sequential chase-tree enumeration.
-    Exact,
-    /// Exact parallel chase enumeration.
-    ExactParallel,
-    /// Monte-Carlo path sampling.
-    Mc,
-    /// Single-site Metropolis-Hastings over chase traces — posterior
-    /// sampling that stays effective where likelihood weighting's
-    /// effective sample size collapses under sharp evidence.
-    Mh,
-}
-
-impl BackendSpec {
-    /// Every backend, in wire-documentation order.
-    pub(crate) const ALL: [BackendSpec; 5] = [
-        BackendSpec::Auto,
-        BackendSpec::Exact,
-        BackendSpec::ExactParallel,
-        BackendSpec::Mc,
-        BackendSpec::Mh,
-    ];
-
-    /// The backend's name on the wire (the `"backend"` member).
-    pub(crate) fn wire_name(self) -> &'static str {
-        match self {
-            BackendSpec::Auto => "auto",
-            BackendSpec::Exact => "exact",
-            BackendSpec::ExactParallel => "exact-parallel",
-            BackendSpec::Mc => "mc",
-            BackendSpec::Mh => "mh",
-        }
-    }
-}
 
 /// One query of a request, with textual relation/fact references.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,7 +111,7 @@ pub enum QueryKind {
 
 /// One independent request: one or more queries answered in a **single**
 /// backend pass over one session state.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Request {
     /// The queries to answer, in answer order. Every query of one request
     /// shares the request's input facts, evidence, backend, and seed —
@@ -166,31 +127,11 @@ pub struct Request {
     /// likelihood statements (`"Normal<M, 1.0> == 2.5 :- Mu(M)."`). The
     /// answer is then the posterior given this evidence, self-normalized.
     pub given: Option<String>,
-    /// Evaluation strategy.
-    pub backend: BackendSpec,
-    /// Monte-Carlo run count (applies when the Monte-Carlo backend is
-    /// selected or auto-picked).
-    pub runs: Option<usize>,
-    /// Monte-Carlo master seed.
-    pub seed: Option<u64>,
-    /// Chase depth/step budget.
-    pub max_depth: Option<usize>,
-    /// Metropolis-Hastings burn-in steps (the `mh` backend only).
-    pub burn_in: Option<usize>,
-    /// Metropolis-Hastings thinning interval (the `mh` backend only).
-    pub thin: Option<usize>,
-    /// Adaptive run control (the wire member `"infer": {"mode": "ess",
-    /// "target": …}`): grow the Monte-Carlo run count in doubling batches
-    /// until the conditioned pass's effective sample size reaches this
-    /// target. Incompatible with the exact and `mh` backends.
-    pub ess_target: Option<f64>,
-    /// Run-count cap for adaptive inference (wire member
-    /// `"infer": {…, "max_runs": …}`).
-    pub max_runs: Option<usize>,
-    /// Cooperative evaluation deadline, set by the serving layer (not part
-    /// of the wire format): the chase aborts with
-    /// `EngineError::DeadlineExceeded` once it has passed.
-    pub deadline: Option<std::time::Instant>,
+    /// How the request is evaluated: backend, run count, seed, chase
+    /// budget, MH chain, ESS target — filled from the wire members
+    /// `backend`, `runs`, `seed`, `max_depth`, `burn_in`, `thin` and
+    /// `infer`, one setter each — plus the serving layer's deadline.
+    pub spec: EvalSpec,
 }
 
 impl Request {
@@ -202,18 +143,14 @@ impl Request {
     pub fn multi(queries: Vec<QueryKind>) -> Request {
         Request {
             queries,
-            input: None,
-            given: None,
-            backend: BackendSpec::Auto,
-            runs: None,
-            seed: None,
-            max_depth: None,
-            burn_in: None,
-            thin: None,
-            ess_target: None,
-            max_runs: None,
-            deadline: None,
+            ..Request::default()
         }
+    }
+
+    /// One write into the spec.
+    fn with(mut self, set: impl FnOnce(EvalSpec) -> EvalSpec) -> Request {
+        self.spec = set(self.spec);
+        self
     }
 
     /// A marginal request for one fact, e.g. `"Alarm(h0)"`.
@@ -299,68 +236,56 @@ impl Request {
     }
 
     /// Forces exact sequential enumeration.
-    pub fn exact(mut self) -> Request {
-        self.backend = BackendSpec::Exact;
-        self
+    pub fn exact(self) -> Request {
+        self.with(|s| s.backend(BackendChoice::Exact))
     }
 
     /// Forces Monte-Carlo sampling with `runs` runs.
-    pub fn mc(mut self, runs: usize) -> Request {
-        self.backend = BackendSpec::Mc;
-        self.runs = Some(runs);
-        self
+    pub fn mc(self, runs: usize) -> Request {
+        self.with(|s| s.backend(BackendChoice::Mc).runs(runs))
     }
 
     /// Forces Metropolis-Hastings sampling keeping `samples` states.
-    pub fn mh(mut self, samples: usize) -> Request {
-        self.backend = BackendSpec::Mh;
-        self.runs = Some(samples);
-        self
+    pub fn mh(self, samples: usize) -> Request {
+        self.with(|s| s.backend(BackendChoice::Mh).runs(samples))
     }
 
     /// Sets the Metropolis-Hastings burn-in step count.
-    pub fn burn_in(mut self, steps: usize) -> Request {
-        self.burn_in = Some(steps);
-        self
+    pub fn burn_in(self, steps: usize) -> Request {
+        self.with(|s| s.burn_in(steps))
     }
 
     /// Sets the Metropolis-Hastings thinning interval.
-    pub fn thin(mut self, every: usize) -> Request {
-        self.thin = Some(every);
-        self
+    pub fn thin(self, every: usize) -> Request {
+        self.with(|s| s.thin(every))
     }
 
     /// Asks for ESS-adaptive Monte-Carlo inference: run count grows in
     /// doubling batches until the conditioned pass's effective sample
     /// size reaches `target` (the wire's `"infer"` member).
-    pub fn ess_target(mut self, target: f64) -> Request {
-        self.ess_target = Some(target);
-        self
+    pub fn ess_target(self, target: f64) -> Request {
+        self.with(|s| s.ess_target(EssTarget::new(target)))
     }
 
     /// Caps the run count of ESS-adaptive inference.
-    pub fn max_runs(mut self, cap: usize) -> Request {
-        self.max_runs = Some(cap);
-        self
+    pub fn max_runs(self, cap: usize) -> Request {
+        self.with(|s| s.max_runs(cap))
     }
 
     /// Sets the Monte-Carlo master seed.
-    pub fn seed(mut self, seed: u64) -> Request {
-        self.seed = Some(seed);
-        self
+    pub fn seed(self, seed: u64) -> Request {
+        self.with(|s| s.seed(seed))
     }
 
     /// Sets the chase depth/step budget.
-    pub fn max_depth(mut self, depth: usize) -> Request {
-        self.max_depth = Some(depth);
-        self
+    pub fn max_depth(self, depth: usize) -> Request {
+        self.with(|s| s.max_depth(depth))
     }
 
     /// Sets a cooperative evaluation deadline (serving-layer concern; not
     /// part of the wire format).
-    pub fn deadline(mut self, deadline: std::time::Instant) -> Request {
-        self.deadline = Some(deadline);
-        self
+    pub fn deadline(self, deadline: std::time::Instant) -> Request {
+        self.with(|s| s.deadline(deadline))
     }
 
     /// Parses one request object of the batch wire format: either the
@@ -372,40 +297,6 @@ impl Request {
     /// [`ServeError::BadRequest`] on unknown kinds, missing fields, a
     /// request mixing both forms, or one failing [`Request::validate`].
     pub fn from_json(v: &Json) -> Result<Request, ServeError> {
-        // Optional members: absent is fine, present-but-invalid (wrong
-        // type, negative, fractional, or beyond the exact-f64 range) is
-        // an error — never a silent fallback to a default.
-        let opt_str = |key: &str| -> Result<Option<String>, ServeError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(s) => s.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
-                    ServeError::BadRequest(format!("`{key}` must be a string, got {}", s.render()))
-                }),
-            }
-        };
-        let opt_usize = |key: &str| -> Result<Option<usize>, ServeError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(n) => n.as_usize().map(Some).ok_or_else(|| {
-                    ServeError::BadRequest(format!(
-                        "`{key}` must be a non-negative whole number, got {}",
-                        n.render()
-                    ))
-                }),
-            }
-        };
-        let opt_u64 = |key: &str| -> Result<Option<u64>, ServeError> {
-            match v.get(key) {
-                None => Ok(None),
-                Some(n) => n.as_u64().map(Some).ok_or_else(|| {
-                    ServeError::BadRequest(format!(
-                        "`{key}` must be a whole number in [0, 2^53] — JSON numbers \
-                         are f64, so larger values do not survive the wire — got {}",
-                        n.render()
-                    ))
-                }),
-            }
-        };
         let queries = match v.get("queries") {
             Some(arr) => {
                 if v.get("kind").is_some() {
@@ -433,49 +324,43 @@ impl Request {
             }
             None => vec![query_from_json(v)?],
         };
-        let backend = opt_str("backend")?;
+        let backend = opt_str(v, "backend")?;
         let backend = backend.as_deref().unwrap_or("auto");
-        let backend = BackendSpec::ALL
-            .into_iter()
-            .find(|b| b.wire_name() == backend)
-            .ok_or_else(|| {
-                ServeError::BadRequest(format!(
-                    "unknown backend `{backend}` (expected auto | exact | exact-parallel | mc | mh)"
-                ))
-            })?;
+        let backend = BackendChoice::from_wire_name(backend).ok_or_else(|| {
+            ServeError::BadRequest(format!(
+                "unknown backend `{backend}` (expected auto | exact | exact-parallel | mc | mh)"
+            ))
+        })?;
+        let mut spec = EvalSpec::default().backend(backend);
         // Adaptive inference: `"infer": {"mode": "ess", "target": …,
         // "max_runs"?: …}`. Only the `ess` mode exists today; an explicit
         // unknown mode is an error, not a silent fixed-run fallback.
-        let (ess_target, max_runs) = match v.get("infer") {
-            None => (None, None),
-            Some(obj) => {
-                let mode = obj.get("mode").and_then(Json::as_str).ok_or_else(|| {
-                    ServeError::BadRequest("`infer` needs a string `mode`".to_string())
-                })?;
-                if mode != "ess" {
-                    return Err(ServeError::BadRequest(format!(
-                        "unknown infer mode `{mode}` (expected ess)"
-                    )));
-                }
-                let target = obj.get("target").and_then(Json::as_f64).ok_or_else(|| {
-                    ServeError::BadRequest("`infer` needs a numeric `target`".to_string())
-                })?;
-                let cap = match obj.get("max_runs") {
-                    None => None,
-                    Some(n) => Some(n.as_usize().ok_or_else(|| {
-                        ServeError::BadRequest(format!(
-                            "`infer.max_runs` must be a non-negative whole number, got {}",
-                            n.render()
-                        ))
-                    })?),
-                };
-                (Some(target), cap)
+        if let Some(obj) = v.get("infer") {
+            let mode = obj.get("mode").and_then(Json::as_str).ok_or_else(|| {
+                ServeError::BadRequest("`infer` needs a string `mode`".to_string())
+            })?;
+            if mode != "ess" {
+                return Err(ServeError::BadRequest(format!(
+                    "unknown infer mode `{mode}` (expected ess)"
+                )));
             }
-        };
+            let target = obj.get("target").and_then(Json::as_f64).ok_or_else(|| {
+                ServeError::BadRequest("`infer` needs a numeric `target`".to_string())
+            })?;
+            spec = spec.ess_target(EssTarget::new(target));
+            if let Some(n) = obj.get("max_runs") {
+                spec = spec.max_runs(n.as_usize().ok_or_else(|| {
+                    ServeError::BadRequest(format!(
+                        "`infer.max_runs` must be a non-negative whole number, got {}",
+                        n.render()
+                    ))
+                })?);
+            }
+        }
         // `input` is the member's name; `evidence` stays accepted as a
         // back-compat alias (it never meant conditioning — that's
         // `given`). Both at once would be ambiguous.
-        let input = match (opt_str("input")?, opt_str("evidence")?) {
+        let input = match (opt_str(v, "input")?, opt_str(v, "evidence")?) {
             (Some(_), Some(_)) => {
                 return Err(ServeError::BadRequest(
                     "`input` and its legacy alias `evidence` are the same member; \
@@ -485,79 +370,49 @@ impl Request {
             }
             (input, legacy) => input.or(legacy),
         };
+        let given = opt_str(v, "given")?;
+        // The remaining members map one to one onto spec setters.
+        for (key, set) in [
+            ("runs", EvalSpec::runs as fn(EvalSpec, usize) -> EvalSpec),
+            ("max_depth", EvalSpec::max_depth),
+            ("burn_in", EvalSpec::burn_in),
+            ("thin", EvalSpec::thin),
+        ] {
+            spec = opt_usize(v, key)?.map_or(spec, |n| set(spec, n));
+        }
+        let whole = "a whole number in [0, 2^53] (JSON numbers are f64, so larger \
+                     values do not survive the wire)";
+        spec = member(v, "seed", Json::as_u64, whole)?.map_or(spec, |seed| spec.seed(seed));
+        // Deadlines are a serving-layer policy (set from the server's
+        // configuration), not a wire member a client can extend.
         let request = Request {
             queries,
             input,
-            given: opt_str("given")?,
-            backend,
-            runs: opt_usize("runs")?,
-            seed: opt_u64("seed")?,
-            max_depth: opt_usize("max_depth")?,
-            burn_in: opt_usize("burn_in")?,
-            thin: opt_usize("thin")?,
-            ess_target,
-            max_runs,
-            // Deadlines are a serving-layer policy (set from the server's
-            // configuration), not a wire member a client can extend.
-            deadline: None,
+            given,
+            spec,
         };
         request.validate()?;
         Ok(request)
     }
 
-    /// The checks that do not depend on the program, in one place for
-    /// parsed, builder-made and CLI-lowered requests alike: at least one
-    /// query; an ESS target that is finite and ≥ 1 and rides on a
-    /// sampling backend other than MH; a run cap only with an ESS target;
-    /// burn-in and thinning only with MH. [`Request::from_json`] runs
-    /// them at parse time and the executor before any evaluation.
+    /// The checks that do not depend on the program, for parsed,
+    /// builder-made and CLI-lowered requests alike: at least one query,
+    /// then [`EvalSpec::validate`] with its reason.
+    /// [`Request::from_json`] runs them at parse time and the executor
+    /// before any evaluation.
     ///
     /// # Errors
     /// [`ServeError::BadRequest`] naming the offending member.
     pub fn validate(&self) -> Result<(), ServeError> {
-        let bad = |msg: String| Err(ServeError::BadRequest(msg));
         if self.queries.is_empty() {
-            return bad("request asks no queries".to_string());
+            return Err(ServeError::BadRequest(
+                "request asks no queries".to_string(),
+            ));
         }
-        if let Some(target) = self.ess_target {
-            if !target.is_finite() || target < 1.0 {
-                return bad(format!(
-                    "`infer.target` must be a finite effective sample size ≥ 1, got {target}"
-                ));
-            }
-            if !matches!(self.backend, BackendSpec::Auto | BackendSpec::Mc) {
-                return bad(format!(
-                    "`infer` (ESS-adaptive run control) requires the Monte-Carlo \
-                     backend, but the request asks for `{}`",
-                    self.backend.wire_name()
-                ));
-            }
-        } else if self.max_runs.is_some() {
-            return bad(
-                "`infer.max_runs` caps ESS-adaptive run growth; it needs an \
-                 `infer` target"
-                    .to_string(),
-            );
-        }
-        if self.backend != BackendSpec::Mh && (self.burn_in.is_some() || self.thin.is_some()) {
-            return bad(
-                "`burn_in`/`thin` configure the Metropolis-Hastings chain; they \
-                 need the `mh` backend"
-                    .to_string(),
-            );
-        }
-        Ok(())
-    }
-
-    /// Whether the request evaluates by sampling rather than by exact
-    /// enumeration: an explicit backend decides; `auto` samples under an
-    /// ESS target or when `program` draws from a continuous distribution.
-    pub fn samples(&self, program: &CompiledProgram) -> bool {
-        match self.backend {
-            BackendSpec::Mc | BackendSpec::Mh => true,
-            BackendSpec::Exact | BackendSpec::ExactParallel => false,
-            BackendSpec::Auto => self.ess_target.is_some() || !program.all_discrete(),
-        }
+        self.spec.validate().map_err(|e| match e {
+            EngineError::InvalidRequest(reason) => ServeError::BadRequest(reason),
+            other => ServeError::Engine(other),
+        })
     }
 }
 
@@ -577,6 +432,30 @@ pub fn batch_items(doc: &Json) -> Result<&[Json], ServeError> {
                     .to_string(),
             )
         })
+}
+
+/// Reads the optional member `key` of `v` with `read`: absent is `None`;
+/// present but unreadable (wrong type, negative, fractional, or beyond
+/// the exact-f64 range) is an error saying what it must be — never a
+/// silent fallback to a default.
+fn member<T>(
+    v: &Json,
+    key: &str,
+    read: impl Fn(&Json) -> Option<T>,
+    what: &str,
+) -> Result<Option<T>, ServeError> {
+    let Some(m) = v.get(key) else { return Ok(None) };
+    read(m).map(Some).ok_or_else(|| {
+        ServeError::BadRequest(format!("`{key}` must be {what}, got {}", m.render()))
+    })
+}
+
+fn opt_str(v: &Json, key: &str) -> Result<Option<String>, ServeError> {
+    member(v, key, |s| s.as_str().map(str::to_string), "a string")
+}
+
+fn opt_usize(v: &Json, key: &str) -> Result<Option<usize>, ServeError> {
+    member(v, key, Json::as_usize, "a non-negative whole number")
 }
 
 /// Parses an aggregate name as the wire's `agg` member spells it.
@@ -612,25 +491,6 @@ pub fn query_from_json(v: &Json) -> Result<QueryKind, ServeError> {
             .map(str::to_string)
             .ok_or_else(|| ServeError::BadRequest(format!("request needs a string `{key}`")))
     };
-    let opt_str = |key: &str| -> Result<Option<String>, ServeError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(s) => s.as_str().map(|s| Some(s.to_string())).ok_or_else(|| {
-                ServeError::BadRequest(format!("`{key}` must be a string, got {}", s.render()))
-            }),
-        }
-    };
-    let opt_usize = |key: &str| -> Result<Option<usize>, ServeError> {
-        match v.get(key) {
-            None => Ok(None),
-            Some(n) => n.as_usize().map(Some).ok_or_else(|| {
-                ServeError::BadRequest(format!(
-                    "`{key}` must be a non-negative whole number, got {}",
-                    n.render()
-                ))
-            }),
-        }
-    };
     let num_field = |key: &str, what: &str| -> Result<f64, ServeError> {
         v.get(key)
             .and_then(Json::as_f64)
@@ -649,24 +509,24 @@ pub fn query_from_json(v: &Json) -> Result<QueryKind, ServeError> {
         },
         "expectation" => QueryKind::Expectation {
             rel: str_field("rel")?,
-            agg: parse_agg(opt_str("agg")?.as_deref().unwrap_or("count"))?,
-            col: opt_usize("col")?,
+            agg: parse_agg(opt_str(v, "agg")?.as_deref().unwrap_or("count"))?,
+            col: opt_usize(v, "col")?,
         },
         "histogram" => QueryKind::Histogram {
             rel: str_field("rel")?,
-            col: opt_usize("col")?.ok_or_else(|| bad("histogram needs an integer `col`"))?,
+            col: opt_usize(v, "col")?.ok_or_else(|| bad("histogram needs an integer `col`"))?,
             lo: num_field("lo", "histogram")?,
             hi: num_field("hi", "histogram")?,
-            bins: opt_usize("bins")?.unwrap_or(20),
+            bins: opt_usize(v, "bins")?.unwrap_or(20),
         },
         "quantile" => QueryKind::Quantile {
             rel: str_field("rel")?,
-            col: opt_usize("col")?.ok_or_else(|| bad("quantile needs an integer `col`"))?,
+            col: opt_usize(v, "col")?.ok_or_else(|| bad("quantile needs an integer `col`"))?,
             q: num_field("q", "quantile")?,
         },
         "tail" => QueryKind::Tail {
             rel: str_field("rel")?,
-            col: opt_usize("col")?.ok_or_else(|| bad("tail needs an integer `col`"))?,
+            col: opt_usize(v, "col")?.ok_or_else(|| bad("tail needs an integer `col`"))?,
             threshold: num_field("threshold", "tail")?,
         },
         other => {
@@ -870,8 +730,9 @@ mod tests {
             .map(|v| Request::from_json(v).unwrap())
             .collect();
         assert_eq!(parsed.len(), 7);
-        assert_eq!(parsed[1].backend, BackendSpec::ExactParallel);
-        assert_eq!(parsed[2].runs, Some(100));
+        let spec = EvalSpec::default();
+        assert_eq!(parsed[1].spec, spec.backend(BackendChoice::ExactParallel));
+        assert_eq!(parsed[2].spec, spec.backend(BackendChoice::Mc).runs(100));
         assert!(matches!(
             &parsed[3].queries[0],
             QueryKind::Expectation {
@@ -903,7 +764,7 @@ mod tests {
         let req = Request::from_json(&v).unwrap();
         assert_eq!(req.queries.len(), 3);
         assert_eq!(req.input.as_deref(), Some("B(x)."));
-        assert_eq!(req.seed, Some(9));
+        assert_eq!(req.spec, EvalSpec::default().seed(9));
         // Mixing the single- and multi-query forms is ambiguous.
         let both = Json::parse(
             r#"{"kind": "marginal", "fact": "A(x)",
@@ -947,10 +808,6 @@ mod tests {
         )
         .unwrap();
         let req = Request::from_json(&v).unwrap();
-        assert_eq!(req.backend, BackendSpec::Mh);
-        assert_eq!(req.runs, Some(500));
-        assert_eq!(req.burn_in, Some(100));
-        assert_eq!(req.thin, Some(3));
         assert_eq!(req, Request::marginal("A(x)").mh(500).burn_in(100).thin(3));
 
         let v = Json::parse(
@@ -959,8 +816,6 @@ mod tests {
         )
         .unwrap();
         let req = Request::from_json(&v).unwrap();
-        assert_eq!(req.ess_target, Some(200.0));
-        assert_eq!(req.max_runs, Some(100_000));
         assert_eq!(
             req,
             Request::marginal("A(x)")
@@ -988,9 +843,10 @@ mod tests {
     #[test]
     fn validation_rejects_program_independent_contradictions() {
         let bad_request = |r: Request| matches!(r.validate(), Err(ServeError::BadRequest(_)));
-        // MH chain controls without the MH backend.
+        // MH chain controls without the MH backend, and an empty thinning.
         assert!(bad_request(Request::marginal("A(x)").burn_in(5)));
         assert!(bad_request(Request::marginal("A(x)").exact().thin(2)));
+        assert!(bad_request(Request::marginal("A(x)").mh(10).thin(0)));
         assert!(Request::marginal("A(x)")
             .mh(10)
             .burn_in(5)
@@ -1025,6 +881,7 @@ mod tests {
         for bad in [
             r#"{"kind": "marginal", "fact": "A(x)", "burn_in": 5}"#,
             r#"{"kind": "marginal", "fact": "A(x)", "backend": "exact", "thin": 2}"#,
+            r#"{"kind": "marginal", "fact": "A(x)", "backend": "mh", "thin": 0}"#,
             r#"{"kind": "marginal", "fact": "A(x)", "backend": "exact",
                 "infer": {"mode": "ess", "target": 10}}"#,
         ] {
@@ -1039,7 +896,7 @@ mod tests {
     #[test]
     fn infer_rejection_names_the_backend_by_its_wire_name() {
         let exact_parallel = Request {
-            backend: BackendSpec::ExactParallel,
+            spec: EvalSpec::default().backend(BackendChoice::ExactParallel),
             ..Request::marginal("A(x)")
         };
         for (request, name) in [
@@ -1053,13 +910,13 @@ mod tests {
                 "{reason}"
             );
         }
-        for backend in BackendSpec::ALL {
+        for backend in BackendChoice::ALL {
             let doc = format!(
                 r#"{{"kind": "marginal", "fact": "A(x)", "backend": "{}"}}"#,
                 backend.wire_name()
             );
             let parsed = Request::from_json(&Json::parse(&doc).unwrap()).unwrap();
-            assert_eq!(parsed.backend, backend, "{doc}");
+            assert_eq!(parsed.spec, EvalSpec::default().backend(backend), "{doc}");
         }
     }
 
@@ -1106,7 +963,10 @@ mod tests {
         }
         // Large-but-exact run counts parse instead of being dropped.
         let v = Json::parse(r#"{"kind": "marginal", "fact": "A(x)", "runs": 5000000000}"#).unwrap();
-        assert_eq!(Request::from_json(&v).unwrap().runs, Some(5_000_000_000));
+        assert_eq!(
+            Request::from_json(&v).unwrap().spec,
+            EvalSpec::default().runs(5_000_000_000)
+        );
     }
 
     #[test]

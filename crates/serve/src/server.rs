@@ -27,14 +27,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use gdatalog_core::{Answer, EngineError, Evaluation, QueryIr, QuerySet, Session};
+use gdatalog_core::{Answer, EngineError, QueryIr, QuerySet, Session};
 use gdatalog_lang::{parse_facts, CompiledProgram, SemanticsMode};
 use gdatalog_pdb::{Event, Query};
 
 use crate::cache::PreparedModel;
 use crate::metrics::{Metrics, MetricsRecorder};
 use crate::pool::SessionPool;
-use crate::request::{fact_text, BackendSpec, QueryKind, Reply, Request, Response};
+use crate::request::{fact_text, QueryKind, Reply, Request, Response};
 use crate::ServeError;
 
 /// Resolves one wire query against the program catalog into the core
@@ -92,17 +92,9 @@ fn compile_query(kind: &QueryKind, program: &CompiledProgram) -> Result<QueryIr,
             Ok(QueryIr::Probability { event })
         }
         QueryKind::Expectation { rel, agg, col } => {
-            let rel = resolve(rel)?;
-            let arity = program.catalog.decl(rel).arity();
-            let query = Query::Rel(rel);
-            let query = match col {
-                Some(c) if *c < arity => query.project(vec![*c]),
-                Some(c) => {
-                    return Err(ServeError::BadRequest(format!(
-                        "column {c} out of range (arity {arity})"
-                    )))
-                }
-                None => query,
+            let query = match *col {
+                Some(c) => Query::Rel(resolve_col(rel, c)?).project(vec![c]),
+                None => Query::Rel(resolve(rel)?),
             };
             Ok(QueryIr::Expectation { query, agg: *agg })
         }
@@ -184,31 +176,17 @@ fn render_answer(answer: Answer, program: &CompiledProgram) -> Response {
 /// Evaluates one request on a (clean) session: the request is
 /// validated, the session's extensional database is extended with the
 /// request's input facts, **all** of the request's queries are compiled
-/// against the catalog, and a single backend pass answers every one of
-/// them (the multiplexed `Evaluation::answer` path — a K-query request
-/// costs one chase/enumeration/Monte-Carlo pass, not K). The caller is
-/// responsible for [`Session::reset`] afterwards (the pool and executor
-/// do this automatically).
+/// against the catalog, and a single backend pass configured by the
+/// request's spec answers every one of them (the multiplexed
+/// `Evaluation::answer` path — a K-query request costs one
+/// chase/enumeration/Monte-Carlo pass, not K). The caller is responsible
+/// for [`Session::reset`] afterwards (the pool and executor do this
+/// automatically).
 ///
 /// # Errors
 /// [`ServeError::BadRequest`] for invalid requests, unresolvable names or
 /// malformed specs; engine errors from evaluation.
 pub fn execute_on(session: &mut Session, request: &Request) -> Result<Reply, ServeError> {
-    execute_with(session, request, |eval| eval)
-}
-
-/// [`execute_on`] with a `tune` step that may adjust the configured
-/// [`Evaluation`] before it runs — for knobs that are not part of a
-/// request, such as the Monte-Carlo thread count or lane-batch width of
-/// a command-line run.
-///
-/// # Errors
-/// As [`execute_on`].
-pub fn execute_with(
-    session: &mut Session,
-    request: &Request,
-    tune: impl FnOnce(Evaluation<'_>) -> Evaluation<'_>,
-) -> Result<Reply, ServeError> {
     request.validate()?;
     if let Some(input) = &request.input {
         session.insert_facts_text(input)?;
@@ -218,7 +196,11 @@ pub fn execute_with(
     for kind in &request.queries {
         queries.push(compile_query(kind, program)?);
     }
-    let answers = tune(configure(session, request)).answer(&queries)?;
+    let mut eval = session.eval().with_spec(request.spec);
+    if let Some(given) = &request.given {
+        eval = eval.given(given.clone());
+    }
+    let answers = eval.answer(&queries)?;
     // Conditioning diagnostics ride along instead of being discarded: the
     // pass's evidence mass and effective sample size, computed once for
     // the whole query set.
@@ -231,54 +213,6 @@ pub fn execute_with(
         responses,
         evidence,
     })
-}
-
-/// Maps a validated request onto an evaluation of `session`: the one
-/// backend-and-budget step. An explicit backend wins; `infer` switches
-/// the Monte-Carlo path to adaptive run control; `auto` samples exactly
-/// when [`Request::samples`] says so and otherwise lets the builder pick.
-fn configure<'s>(session: &'s Session, request: &Request) -> Evaluation<'s> {
-    let mut eval = session.eval();
-    if let Some(seed) = request.seed {
-        eval = eval.seed(seed);
-    }
-    if let Some(depth) = request.max_depth {
-        eval = eval.max_depth(depth);
-    }
-    if let Some(given) = &request.given {
-        eval = eval.given(given.clone());
-    }
-    if let Some(deadline) = request.deadline {
-        eval = eval.deadline(deadline);
-    }
-    // Validation admits these only on the MH backend.
-    if let Some(steps) = request.burn_in {
-        eval = eval.burn_in(steps);
-    }
-    if let Some(every) = request.thin {
-        eval = eval.thin(every);
-    }
-    let runs = request.runs.unwrap_or(10_000);
-    if request.backend == BackendSpec::Mh {
-        eval.mh(runs)
-    } else if let Some(target) = request.ess_target {
-        let mut target = gdatalog_core::EssTarget::new(target);
-        if let Some(cap) = request.max_runs {
-            target = target.max_runs(cap);
-        }
-        if let Some(batch) = request.runs {
-            target = target.initial_batch(batch);
-        }
-        eval.sample_until(target)
-    } else if request.samples(session.program()) {
-        eval.sample(runs)
-    } else if request.backend == BackendSpec::ExactParallel {
-        eval.exact_parallel()
-    } else if request.backend == BackendSpec::Exact {
-        eval.exact()
-    } else {
-        eval
-    }
 }
 
 fn ensure_dot(text: &str) -> String {
@@ -753,6 +687,7 @@ mod tests {
         for request in [
             base().burn_in(5),
             base().exact().thin(2),
+            base().mh(200).thin(0),
             base().max_runs(100),
         ] {
             assert!(matches!(
@@ -769,23 +704,24 @@ mod tests {
         assert!(server.execute(&base().mh(200).burn_in(5).thin(2)).is_ok());
     }
 
-    /// `execute_with`'s tune step runs after the request is configured,
-    /// so what it sets wins; a lane-batch width never changes an answer.
+    /// A spec knob no wire member sets (the CLI's lane-batch width) rides
+    /// in the request's spec; a lane-batch width never changes an answer,
+    /// a seed does.
     #[test]
-    fn tune_step_adjusts_the_configured_evaluation() {
+    fn the_request_spec_configures_the_evaluation() {
         let server = Server::from_source(SRC, SemanticsMode::Grohe).unwrap();
         let request = Request::marginals("Alarm")
             .input("City(a, 0.3). City(b, 0.6).")
             .mc(3_000)
             .seed(5);
         let plain = server.execute(&request).unwrap();
-        let mut session = server.pool().checkout_for(0);
-        let batched = execute_with(&mut session, &request, |eval| eval.batch(7)).unwrap();
-        assert_eq!(plain, batched);
-        session.reset();
-        let reseeded = execute_with(&mut session, &request, |eval| eval.seed(9)).unwrap();
+        let batched = Request {
+            spec: request.spec.batch(7),
+            ..request.clone()
+        };
+        assert_eq!(plain, server.execute(&batched).unwrap());
+        let reseeded = server.execute(&request.clone().seed(9)).unwrap();
         assert_ne!(plain, reseeded);
-        assert_eq!(reseeded, server.execute(&request.clone().seed(9)).unwrap());
     }
 
     /// An expired deadline surfaces as `EngineError::DeadlineExceeded`

@@ -98,7 +98,7 @@ use gdatalog::lang::CompiledProgram;
 use gdatalog::net::{self, HttpServer, LoadgenConfig, NetConfig};
 use gdatalog::prelude::*;
 use gdatalog::serve::json::{escape as json_escape, Json};
-use gdatalog::serve::{batch_items, execute_with, parse_agg, BackendSpec};
+use gdatalog::serve::{batch_items, execute_on, parse_agg};
 
 /// The flags each command honours, consulted once in [`run`]: a flag
 /// missing from a command's row is rejected instead of silently ignored.
@@ -181,7 +181,9 @@ struct Args {
     input: Option<String>,
     given: Option<String>,
     format: Format,
-    backend: BackendSpec,
+    /// `query`'s evaluation spec, written by its backend, ESS and MH
+    /// flags; `lower_query` adds the flags other commands share.
+    spec: EvalSpec,
     agg: AggFun,
     col: Option<usize>,
     lo: Option<f64>,
@@ -192,18 +194,9 @@ struct Args {
     /// Additional queries (`--and <spec>`, repeatable) answered in the
     /// same backend pass as the positional query.
     and: Vec<String>,
-    /// `query --ess-target`: grow the Monte-Carlo run count until the
-    /// conditioned pass reaches this effective sample size.
-    ess_target: Option<f64>,
-    /// `query --max-runs`: run-count cap for `--ess-target`.
-    max_runs: Option<usize>,
     /// `--batch`: Monte-Carlo lane-batch size (bit-identical at any
     /// value; at `1` every run is a lane group of its own).
     batch: Option<usize>,
-    /// `query --burn-in`: MH burn-in steps (with `--mh`).
-    burn_in: Option<usize>,
-    /// `query --thin`: MH thinning interval (with `--mh`).
-    thin: Option<usize>,
     /// `serve`/`loadgen`: address to bind / target.
     addr: String,
     /// `serve`: worker threads (`None` = one per core).
@@ -276,7 +269,7 @@ fn parse_args() -> Result<Args, String> {
         input: None,
         given: None,
         format: Format::Text,
-        backend: BackendSpec::Auto,
+        spec: EvalSpec::default(),
         agg: AggFun::Count,
         col: None,
         lo: None,
@@ -285,11 +278,7 @@ fn parse_args() -> Result<Args, String> {
         q: None,
         threshold: None,
         and: Vec::new(),
-        ess_target: None,
-        max_runs: None,
         batch: None,
-        burn_in: None,
-        thin: None,
         addr: "127.0.0.1:7171".to_string(),
         workers: None,
         max_inflight: None,
@@ -330,18 +319,18 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown format `{other}`")),
                 }
             }
-            "--exact" => args.backend = BackendSpec::Exact,
-            "--mc" => args.backend = BackendSpec::Mc,
-            "--mh" => args.backend = BackendSpec::Mh,
-            "--ess-target" => args.ess_target = Some(value(&flag, argv)?),
-            "--max-runs" => args.max_runs = Some(value(&flag, argv)?),
+            "--exact" => args.spec = args.spec.backend(BackendChoice::Exact),
+            "--mc" => args.spec = args.spec.backend(BackendChoice::Mc),
+            "--mh" => args.spec = args.spec.backend(BackendChoice::Mh),
+            "--ess-target" => args.spec = args.spec.ess_target(EssTarget::new(value(&flag, argv)?)),
+            "--max-runs" => args.spec = args.spec.max_runs(value(&flag, argv)?),
             "--batch" => {
                 let why = "would schedule empty lane batches; pass at least 1 \
                            (at 1 each run is its own lane group)";
                 args.batch = Some(positive(&flag, argv, why)?);
             }
-            "--burn-in" => args.burn_in = Some(value(&flag, argv)?),
-            "--thin" => args.thin = Some(value(&flag, argv)?),
+            "--burn-in" => args.spec = args.spec.burn_in(value(&flag, argv)?),
+            "--thin" => args.spec = args.spec.thin(value(&flag, argv)?),
             "--em-iters" => args.em_iters = positive(&flag, argv, "would fit nothing")?,
             "--tol" => {
                 let tol: f64 = value(&flag, argv)?;
@@ -848,8 +837,9 @@ fn run() -> Result<(), String> {
 }
 
 /// Lowers `gdl query`'s flags to one wire [`Request`]: the positional
-/// query first, then every `--and` query. Only syntax is checked here;
-/// everything else is the serving layer's to check.
+/// query first, then every `--and` query, and every evaluation flag onto
+/// the request's [`EvalSpec`]. Only syntax is checked here; everything
+/// else is the spec's and the serving layer's to check.
 fn lower_query(args: &Args, program: &CompiledProgram) -> Result<Request, String> {
     let rel = args.query_rel.clone().expect("parsed");
     // Column statistics default to the relation's last column; an unknown
@@ -914,27 +904,20 @@ fn lower_query(args: &Args, program: &CompiledProgram) -> Result<Request, String
     for spec in &args.and {
         queries.push(parse_and_spec(spec)?);
     }
-    let mut request = Request {
-        queries,
-        input: args.input.as_deref().map(read).transpose()?,
-        given: args.given.clone(),
-        backend: args.backend,
-        runs: args.runs,
-        seed: Some(args.seed),
-        max_depth: None,
-        burn_in: args.burn_in,
-        thin: args.thin,
-        ess_target: args.ess_target,
-        max_runs: args.max_runs,
-        deadline: None,
-    };
-    let budget = if request.samples(program) {
+    let spec = args.spec.seed(args.seed).threads(args.threads);
+    let spec = args.runs.map_or(spec, |runs| spec.runs(runs));
+    let spec = args.batch.map_or(spec, |batch| spec.batch(batch));
+    let budget = if spec.samples(program) {
         args.steps
     } else {
         args.depth
     };
-    request.max_depth = Some(budget);
-    Ok(request)
+    Ok(Request {
+        queries,
+        input: args.input.as_deref().map(read).transpose()?,
+        given: args.given.clone(),
+        spec: spec.max_depth(budget),
+    })
 }
 
 /// Splits one `--and` spec into a textual query. The mini-grammar is
@@ -1032,19 +1015,13 @@ fn write_answer_text(out: &mut impl std::io::Write, response: &Response) {
 /// Runs `gdl query`: lowers the flags to one [`Request`] and answers it
 /// through the serving layer's executor — one backend pass for the
 /// positional query and every `--and` query. `--threads` and `--batch`
-/// tune the evaluation; neither changes an answer.
+/// ride in the request's spec (no wire member sets them); neither
+/// changes an answer.
 fn run_query(args: &Args) -> Result<(), String> {
     let mut session =
         Session::from_source(&read(&args.file)?, args.mode).map_err(|e| e.to_string())?;
     let request = lower_query(args, session.program())?;
-    let reply = execute_with(&mut session, &request, |eval| {
-        let eval = eval.threads(args.threads);
-        match args.batch {
-            Some(batch) => eval.batch(batch),
-            None => eval,
-        }
-    })
-    .map_err(|e| e.to_string())?;
+    let reply = execute_on(&mut session, &request).map_err(|e| e.to_string())?;
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     match args.format {

@@ -77,10 +77,10 @@ pub use gdatalog_stats as stats;
 /// The most commonly used items, for `use gdatalog::prelude::*`.
 pub mod prelude {
     pub use gdatalog_core::{
-        Answer, Answers, Backend, ChasePolicy, ChaseVariant, Engine, EngineError, EssTarget,
-        EvalJob, EvalOptions, Evaluation, EvidenceSummary, ExactConfig, ExactParallelBackend,
-        ExactSequentialBackend, McBackend, MhBackend, PolicyKind, PreparedProgram, QueryIr,
-        QuerySet, RunBudget, Session,
+        Answer, Answers, Backend, BackendChoice, ChasePolicy, ChaseVariant, Engine, EngineError,
+        EssTarget, EvalJob, EvalOptions, EvalSpec, Evaluation, EvidenceSummary, ExactConfig,
+        ExactParallelBackend, ExactSequentialBackend, McBackend, MhBackend, PolicyKind,
+        PreparedProgram, QueryIr, QuerySet, RunBudget, Session,
     };
     pub use gdatalog_data::{tuple, Catalog, ColType, Fact, Instance, RelId, Tuple, Value};
     pub use gdatalog_dist::{ParamDist, Registry};
