@@ -16,8 +16,8 @@
 //!
 //! **adaptive_lw** times ESS-targeted likelihood weighting on the
 //! three-house alarm network with two alarms observed, at the default
-//! batch and one or two workers: the doubling rounds of one evaluation
-//! share each worker slot's chase-tree memo.
+//! batch and one or two workers: the doubling rounds of one evaluation,
+//! and every evaluation after the second, share one chase-tree memo.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gdatalog_bench::heights_program;

@@ -26,6 +26,8 @@ use gdatalog_datalog::{
 };
 use gdatalog_lang::{CompiledProgram, RuleKind};
 
+use crate::mc_batch::MemoStore;
+
 /// An applicable pair `(rule, ā)`: rule id plus the valuation of the
 /// rule's body variables (outcome variables of delivery rules are bound by
 /// the auxiliary body atom, so every body match binds all of them).
@@ -79,7 +81,9 @@ fn valuation_of(binding: &[Option<Value>]) -> Tuple {
 }
 
 /// A compiled program with planned bodies and a unified index layout —
-/// built once, shared by every chase run over the program.
+/// built once, shared by every chase run over the program — and the
+/// chase-tree memos its Monte-Carlo and MH evaluations keep (see
+/// [`Engine::memo_stats`](crate::Engine::memo_stats)).
 pub struct PreparedProgram {
     specs: IndexSpecs,
     plans: Vec<BodyPlan>,
@@ -97,6 +101,8 @@ pub struct PreparedProgram {
     dependents: Vec<(usize, bool)>,
     dependent_starts: Vec<usize>,
     det: PlannedProgram,
+    /// Empty, and allocating nothing, until an evaluation keeps a memo.
+    memos: MemoStore,
 }
 
 impl PreparedProgram {
@@ -153,7 +159,13 @@ impl PreparedProgram {
             dependents,
             dependent_starts,
             det,
+            memos: MemoStore::default(),
         }
+    }
+
+    /// The chase-tree memos kept for this program.
+    pub(crate) fn memos(&self) -> &MemoStore {
+        &self.memos
     }
 
     /// The unified index spec table.

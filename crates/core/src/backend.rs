@@ -40,7 +40,7 @@ use gdatalog_pdb::{DeficitKind, PossibleWorlds, WorldSink};
 use crate::applicability::PreparedProgram;
 use crate::exact::{walk, Branching, ExactConfig};
 use crate::mc::ChaseVariant;
-use crate::mc_batch::ChaseMemo;
+use crate::mc_batch::{on_memo, run_batch, ChaseMemo, Delta, LaneObs};
 use crate::observe;
 use crate::policy::{ChasePolicy, PolicyKind};
 use crate::EngineError;
@@ -60,12 +60,11 @@ pub struct EvalOptions {
     /// Monte-Carlo batch size: how many runs the lane-group executor
     /// drives in lockstep, sharing the deterministic chase prefix and the
     /// per-step applicability/kernel work (see `crates/core/src/mc_batch.rs`).
-    /// Sharing spans every batch and round of one evaluation: each worker
-    /// slot keeps a memo of the discrete chase-tree paths its batches have
-    /// chased, for the whole evaluation (every doubling round of
-    /// [`Evaluation::sample_until`](crate::Evaluation::sample_until)
-    /// included), and later lanes drawing the same outcomes walk it
-    /// without chasing. Results are
+    /// Sharing spans every batch, round and evaluation: a memo of the
+    /// discrete chase-tree paths chased so far, kept per program and tree
+    /// (input, evidence, variant, `max_depth`, `keep_aux`) across
+    /// evaluations and shared by a pass's workers, lets later lanes
+    /// drawing the same outcomes walk the tree without chasing. Results are
     /// bit-identical at any batch size; at `1` every run is a lane group
     /// of its own and nothing is memoized — the unshared reference. The
     /// batch is also the scheduling quantum: deadline checks are
@@ -422,18 +421,18 @@ pub struct McBackend;
 ///   batches against one persistent sink and divide by the final total
 ///   itself.
 ///
-/// `memos` holds one chase-tree memo per worker slot (see
-/// [`crate::mc_batch`]); missing slots are opened empty. Worker `w` of
-/// this pass drives its chunk on `memos[w]`, so a caller that passes the
-/// same set to successive passes of one evaluation — the adaptive
-/// driver's rounds — lets each pass walk the paths earlier passes chased.
-/// The memos change only the work, never a run's result.
+/// `memo` is the chase-tree memo of the job's tree (see
+/// [`crate::mc_batch`]): every worker of this pass walks it, frozen, and
+/// records into a delta of its own, which the pass merges into `memo` in
+/// worker order, so a caller passing the same memo to successive passes —
+/// the adaptive driver's rounds — lets each pass walk the paths earlier
+/// passes chased. The memo changes only the work, never a run's result.
 pub(crate) fn mc_stream(
     job: &EvalJob<'_>,
     sink: &mut dyn WorldSink,
     range: std::ops::Range<usize>,
     raw: bool,
-    memos: &mut Vec<ChaseMemo>,
+    memo: &mut ChaseMemo,
 ) -> Result<(), EngineError> {
     let program = job.program;
     let runs = range.len();
@@ -448,23 +447,20 @@ pub(crate) fn mc_stream(
     let options = job.options;
     let threads = options.threads.max(1).min(runs);
     let batch_size = options.run_budget().batch;
-    if memos.len() < threads {
-        memos.resize_with(threads, || ChaseMemo::new(options));
-    }
+    let frozen = &*memo;
 
     // Drives one contiguous subrange of runs into one sink, reporting a
     // failure with the run index it occurred at. `batch` runs execute in
     // lockstep as lane groups sharing the deterministic prefix and
-    // per-step chase work, and the worker slot's chase-tree memo shares
-    // the recorded paths and their likelihoods across its batches
-    // (`crate::mc_batch`). One `observe_batch` hands the lane batch over
-    // by reference; sinks fold it with the trait's itemwise loop.
-    // Deadline checks are cooperative at batch boundaries.
+    // per-step chase work, and the chase-tree memo, with the worker's own
+    // delta, shares the recorded paths and their likelihoods across
+    // batches (`crate::mc_batch`). One `observe_batch` hands the lane
+    // batch over by reference; sinks fold it with the trait's itemwise
+    // loop. Deadline checks are cooperative at batch boundaries.
     let drive = |sink: &mut dyn WorldSink,
-                 memo: &mut ChaseMemo,
+                 delta: &mut Delta,
                  chunk: std::ops::Range<usize>|
      -> Result<(), (usize, EngineError)> {
-        use crate::mc_batch::LaneObs;
         use gdatalog_pdb::BatchObs;
         let mut lo = chunk.start;
         while lo < chunk.end {
@@ -472,11 +468,11 @@ pub(crate) fn mc_stream(
             if let Err(e) = crate::exact::check_deadline(options.deadline) {
                 return Err((lo, e));
             }
-            let lanes = crate::mc_batch::run_batch(job, &prepared, &existential, memo, lo..hi);
+            let lanes = run_batch(job, &prepared, &existential, frozen, delta, lo..hi);
             let mut batch_obs: Vec<BatchObs<'_>> = Vec::with_capacity(lanes.len());
             let mut failure: Option<(usize, EngineError)> = None;
             for (off, lane) in lanes.iter().enumerate() {
-                match lane {
+                match &**lane {
                     LaneObs::World(world) if raw => batch_obs.push(BatchObs::LogWorld(world, 0.0)),
                     LaneObs::World(world) => batch_obs.push(BatchObs::World(world, weight)),
                     LaneObs::Weighted(world, lw) => {
@@ -506,7 +502,10 @@ pub(crate) fn mc_stream(
     };
 
     if threads <= 1 || sink.fork().is_none() {
-        return drive(sink, &mut memos[0], range).map_err(|(_, e)| e);
+        let mut delta = Delta::new(frozen);
+        let driven = drive(sink, &mut delta, range);
+        memo.merge(delta);
+        return driven.map_err(|(_, e)| e);
     }
 
     // Contiguous chunks, folded worker-locally into forked sinks and
@@ -516,17 +515,17 @@ pub(crate) fn mc_stream(
     // the smallest-index error chosen below — does not depend on
     // thread scheduling.
     type ChunkResult = Result<Box<dyn WorldSink>, (usize, EngineError)>;
-    let chunks: Vec<ChunkResult> = std::thread::scope(|scope| {
+    let chunks: Vec<(ChunkResult, Delta)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
-            .zip(memos.iter_mut())
-            .map(|(worker, memo)| {
+            .map(|worker| {
                 let lo = range.start + worker * runs / threads;
                 let hi = range.start + (worker + 1) * runs / threads;
                 let mut local = sink.fork().expect("fork checked above");
                 let drive = &drive;
-                scope.spawn(move || -> ChunkResult {
-                    drive(&mut *local, memo, lo..hi)?;
-                    Ok(local)
+                scope.spawn(move || {
+                    let mut delta = Delta::new(frozen);
+                    let driven = drive(&mut *local, &mut delta, lo..hi).map(|()| local);
+                    (driven, delta)
                 })
             })
             .collect();
@@ -542,10 +541,12 @@ pub(crate) fn mc_stream(
 
     // Report the smallest-index failure (deterministic: each chunk's
     // first error is fixed by the per-run seeds); otherwise join the
-    // chunks in run order.
+    // chunks in run order. The workers' deltas merge in worker order too,
+    // so the memo's content does not depend on thread timing.
     let mut first_error: Option<(usize, EngineError)> = None;
     let mut done = Vec::with_capacity(chunks.len());
-    for chunk in chunks {
+    for (chunk, delta) in chunks {
+        memo.merge(delta);
         match chunk {
             Ok(local) => done.push(local),
             Err((ix, e)) => {
@@ -570,7 +571,10 @@ impl Backend for McBackend {
     }
 
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        mc_stream(job, sink, 0..job.options.runs, false, &mut Vec::new())
+        let options = job.options;
+        on_memo(job, options.variant, ChaseMemo::new(options), |memo| {
+            mc_stream(job, sink, 0..options.runs, false, memo)
+        })
     }
 }
 

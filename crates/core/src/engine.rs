@@ -17,6 +17,7 @@ use gdatalog_lang::{
 };
 
 use crate::applicability::PreparedProgram;
+use crate::mc_batch::MemoStats;
 use crate::session::Evaluation;
 #[cfg(doc)]
 use crate::session::Session;
@@ -189,6 +190,31 @@ impl Engine {
     pub fn prepared(&self) -> &Arc<PreparedProgram> {
         self.prepared
             .get_or_init(|| Arc::new(PreparedProgram::new(&self.program)))
+    }
+
+    /// The counters of the chase-tree memos this engine's evaluations
+    /// share: every clone of the engine and every [`Session`] over it
+    /// reuses the chase work of Monte-Carlo and MH evaluations on the
+    /// same input, evidence and options. All zero until the plans are
+    /// built.
+    ///
+    /// ```
+    /// use gdatalog_core::Engine;
+    /// use gdatalog_lang::SemanticsMode;
+    ///
+    /// let engine = Engine::from_source("R(Flip<0.5>) :- true.", SemanticsMode::Grohe).unwrap();
+    /// for _ in 0..3 {
+    ///     engine.eval().sample(256).seed(1).pdb().unwrap();
+    /// }
+    /// // The second sighting of the tree keeps its memo; the third finds it.
+    /// let stats = engine.memo_stats();
+    /// assert_eq!((stats.hits, stats.misses), (1, 2));
+    /// assert!(stats.cells > 0);
+    /// ```
+    pub fn memo_stats(&self) -> MemoStats {
+        self.prepared
+            .get()
+            .map_or_else(MemoStats::default, |prepared| prepared.memos().stats())
     }
 
     /// Merges the program's own ground facts with extra input facts,

@@ -74,6 +74,7 @@ pub use exact::{enumerate_parallel, enumerate_sequential, ExactConfig};
 pub use fingerprint::source_fingerprint;
 pub use kernel::{ParallelKernel, SequentialKernel, StepKernel};
 pub use mc::ChaseVariant;
+pub use mc_batch::MemoStats;
 pub use mcmc::MhBackend;
 pub use observe::{log_weight, weight as observation_weight};
 pub use policy::{ChasePolicy, PolicyKind};

@@ -14,7 +14,7 @@
 use crate::policy::PolicyKind;
 
 /// Which chase procedure drives each run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChaseVariant {
     /// Sequential chase under the given policy (Def. 4.1).
     Sequential(PolicyKind),

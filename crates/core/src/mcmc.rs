@@ -33,7 +33,11 @@
 //! A replay is a walk down the chase tree (Def. 4.2), and for a discrete
 //! program the chain keeps revisiting a few paths of it. The chain
 //! therefore records the tree it chases in a `ChaseMemo` — the node
-//! store of the Monte-Carlo executor (`mc_batch`): at each
+//! store of the Monte-Carlo executor (`mc_batch`), kept by the program's
+//! plans across chains and shared with likelihood-weighting lanes on the
+//! same input, evidence and options, which record the same canonical
+//! tree; an unconditioned end is recorded as the lanes record it, a bare
+//! world whose log-likelihood is 0: at each
 //! existential step whose draws are all discrete, the site's address, the
 //! families and evaluated parameters, and one edge per joint outcome
 //! carrying its log-density; at each end, the outcome (terminated or out
@@ -90,7 +94,7 @@ use rand::{Rng, SeedableRng};
 use crate::applicability::{eval_terms, head_fact, AppPair, PreparedProgram};
 use crate::backend::{Backend, EvalJob};
 use crate::exact::check_deadline;
-use crate::mc_batch::{ChaseMemo, LaneObs, Node, SiteKey, Spec};
+use crate::mc_batch::{on_memo, ChaseMemo, LaneObs, Node, SiteKey, Spec};
 use crate::observe;
 use crate::policy::ChasePolicy;
 use crate::sequential::{fire, Chase, Fired, RunOutcome, SEQUENTIAL};
@@ -307,7 +311,14 @@ impl Chain<'_> {
             }
         };
         if let Some(at) = node {
-            self.memo.record_leaf(at, &end);
+            // An unconditioned end is recorded as lane groups record it:
+            // the bare world, whose log-likelihood is 0.
+            match (&end, self.observes.is_empty()) {
+                (LaneObs::Weighted(world, _), true) => self
+                    .memo
+                    .record_leaf(at, &LaneObs::World(Arc::clone(world))),
+                _ => self.memo.record_leaf(at, &end),
+            }
         }
         let sites = match node.map(|at| self.memo.node(at)) {
             Some(Node::Leaf(_)) => Sites::Walked(hops),
@@ -343,7 +354,7 @@ impl Chain<'_> {
                 })
                 .collect();
         }
-        if !self.memo.record_draws(node, &mut specs, Some(site)) {
+        if !self.memo.record_draws(node, &specs, Some(site)) {
             return None;
         }
         let edge = self.memo.follow(node, joint, log_density)?;
@@ -372,11 +383,15 @@ impl Chain<'_> {
             let (site, specs, children) = match self.memo.node(node) {
                 Node::Open => return None,
                 Node::Leaf(end) => {
+                    let end = match end {
+                        LaneObs::World(world) => LaneObs::Weighted(Arc::clone(world), 0.0),
+                        end => end.clone(),
+                    };
                     return Some(Replay::Run {
                         sites: Sites::Walked(path),
-                        end: end.clone(),
+                        end,
                         reused_delta,
-                    })
+                    });
                 }
                 Node::Draws {
                     site,
@@ -629,7 +644,9 @@ impl Backend for MhBackend {
     }
 
     fn run(&self, job: &EvalJob<'_>, sink: &mut dyn WorldSink) -> Result<(), EngineError> {
-        self.run_on(job, sink, &mut ChaseMemo::chain())
+        on_memo(job, SEQUENTIAL, ChaseMemo::chain(), |memo| {
+            self.run_on(job, sink, memo)
+        })
     }
 }
 

@@ -15,7 +15,7 @@ use rand::{Rng as _, SeedableRng};
 use crate::applicability::AppPair;
 
 /// Declarative description of a policy (serializable into configs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Always the canonically first applicable pair.
     Canonical,

@@ -48,6 +48,7 @@ use crate::backend::{
 };
 use crate::engine::{Engine, EngineError};
 use crate::mc::ChaseVariant;
+use crate::mc_batch::{on_memo, ChaseMemo};
 use crate::mcmc::MhBackend;
 use crate::policy::{ChasePolicy, PolicyKind};
 use crate::queryset::{Answer, Answers, QuerySet};
@@ -937,35 +938,39 @@ impl<'a> Evaluation<'a> {
         // One validated budget carries every run-count invariant; the
         // schedule grows in whole executor lane batches so a stopping-rule
         // poll never lands mid-batch (the cap may still cut the last one).
-        let budget = target.budget(self.spec.options.batch);
+        let options = &self.spec.options;
+        let budget = target.budget(options.batch);
         let max_runs = budget.max_runs;
         let mut batch = budget.initial_batch;
         let mut done = 0usize;
-        // One memo set for every round: later rounds walk the chase-tree
-        // paths earlier rounds chased.
-        let mut memos = Vec::new();
-        while done < max_runs {
-            let end = budget.round_to_batches(done.saturating_add(batch));
-            match crate::backend::mc_stream(&job, &mut wrapper, done..end, true, &mut memos) {
-                Ok(()) => {}
-                // A deadline mid-batch is terminal: keep what the stream
-                // folded if anything was observed — the posterior is
-                // self-normalized, so a partial batch is still a valid
-                // (shorter) importance sample. The unrun tail of the
-                // interrupted batch is counted as attempted, biasing only
-                // the evidence estimate, by at most one batch.
-                Err(EngineError::DeadlineExceeded) if wrapper.stats().worlds > 0 => {
-                    done = end;
+        // One memo for every round: later rounds walk the chase-tree
+        // paths earlier rounds (and earlier evaluations) chased.
+        on_memo(&job, options.variant, ChaseMemo::new(options), |memo| {
+            while done < max_runs {
+                let end = budget.round_to_batches(done.saturating_add(batch));
+                match crate::backend::mc_stream(&job, &mut wrapper, done..end, true, memo) {
+                    Ok(()) => {}
+                    // A deadline mid-batch is terminal: keep what the
+                    // stream folded if anything was observed — the
+                    // posterior is self-normalized, so a partial batch is
+                    // still a valid (shorter) importance sample. The unrun
+                    // tail of the interrupted batch is counted as
+                    // attempted, biasing only the evidence estimate, by at
+                    // most one batch.
+                    Err(EngineError::DeadlineExceeded) if wrapper.stats().worlds > 0 => {
+                        done = end;
+                        break;
+                    }
+                    Err(e) => return Err(e),
+                }
+                done = end;
+                if wrapper.stats().ess() >= target.target {
                     break;
                 }
-                Err(e) => return Err(e),
+                batch = batch.saturating_mul(2);
             }
-            done = end;
-            if wrapper.stats().ess() >= target.target {
-                break;
-            }
-            batch = batch.saturating_mul(2);
-        }
+            Ok(())
+        })?;
         let (mux, stats) = wrapper.finish();
         if conditioned && stats.normalizer() <= 0.0 {
             return Err(EngineError::ZeroEvidence);
@@ -1373,7 +1378,9 @@ impl<'a> Evaluation<'a> {
     /// Runtime distribution failures; [`EngineError::InvalidRequest`] if
     /// per-request [`given`](Evaluation::given) evidence was supplied —
     /// a single run cannot represent a posterior, and silently tracing
-    /// the prior would misread as one.
+    /// the prior would misread as one — or if a parallel or saturating
+    /// [`variant`](Evaluation::variant) was set, which a sequential trace
+    /// would silently replace.
     pub fn trace(&self) -> Result<ChaseRun, EngineError> {
         // `prepare` compiles the evidence first, so malformed text surfaces
         // as its own error; text that compiles to zero observations (empty
@@ -1387,6 +1394,14 @@ impl<'a> Evaluation<'a> {
             ));
         }
         let options = &self.spec.options;
+        let variant = options.variant;
+        if !matches!(variant, ChaseVariant::Sequential(_)) {
+            return Err(EngineError::InvalidRequest(format!(
+                "the {variant:?} chase variant drives Monte-Carlo runs only, and trace() would \
+                 record one sequential chase run instead; use .sample(n) to sample the \
+                 {variant:?} chase"
+            )));
+        }
         let existential = existential_rule_ids(self.program);
         let mut policy = ChasePolicy::new(options.policy, &existential);
         let mut rng = StdRng::seed_from_u64(options.seed);

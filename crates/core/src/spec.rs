@@ -83,9 +83,10 @@ impl BackendChoice {
 /// derives from its global run index, so the sampled stream is a prefix
 /// of the fixed-run stream with the same seed — the adaptive answer is
 /// reproducible and grows monotonically. Lane sharing spans every batch
-/// and round of one evaluation: the rounds reuse each worker slot's
-/// chase-tree memo (see [`EvalOptions::batch`]), so a round walks the
-/// outcome paths earlier rounds chased instead of chasing them again.
+/// and round of one evaluation, and later evaluations of the same tree:
+/// the rounds share one chase-tree memo (see [`EvalOptions::batch`]), so a
+/// round walks the outcome paths earlier rounds chased instead of chasing
+/// them again.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EssTarget {
     /// Stop once the achieved effective sample size reaches this.

@@ -26,7 +26,7 @@ impl Term {
 }
 
 /// A relational atom `R(t1, …, tn)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Atom {
     /// The relation.
     pub rel: RelId,

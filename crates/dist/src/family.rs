@@ -184,6 +184,9 @@ impl ParamDist for Flip {
     fn is_discrete(&self) -> bool {
         true
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let p = self.p(params)?;
         Ok(Value::int(i64::from(rng.gen_bool(p))))
@@ -259,6 +262,9 @@ impl ParamDist for Categorical {
     fn is_discrete(&self) -> bool {
         true
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (pairs, total) = self.pairs(params)?;
         let mut pick = rng.gen_f64() * total;
@@ -329,6 +335,9 @@ impl ParamDist for UniformInt {
         ColType::Int
     }
     fn is_discrete(&self) -> bool {
+        true
+    }
+    fn draws_have_densities(&self) -> bool {
         true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
@@ -416,6 +425,9 @@ impl ParamDist for Binomial {
     fn is_discrete(&self) -> bool {
         true
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (n, p) = self.np(params)?;
         let mut k = 0i64;
@@ -474,6 +486,9 @@ impl ParamDist for Geometric {
         ColType::Int
     }
     fn is_discrete(&self) -> bool {
+        true
+    }
+    fn draws_have_densities(&self) -> bool {
         true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
@@ -559,6 +574,9 @@ impl ParamDist for Poisson {
         ColType::Int
     }
     fn is_discrete(&self) -> bool {
+        true
+    }
+    fn draws_have_densities(&self) -> bool {
         true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
@@ -653,6 +671,9 @@ impl ParamDist for Uniform {
     fn is_discrete(&self) -> bool {
         false
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (a, b) = self.bounds(params)?;
         Ok(Value::real(a + rng.gen_f64() * (b - a)))
@@ -703,6 +724,9 @@ impl ParamDist for Normal {
     fn is_discrete(&self) -> bool {
         false
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (mu, var) = self.moments(params)?;
         Ok(Value::real(mu + var.sqrt() * std_normal(rng)))
@@ -748,6 +772,9 @@ impl ParamDist for Exponential {
     }
     fn is_discrete(&self) -> bool {
         false
+    }
+    fn draws_have_densities(&self) -> bool {
+        true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let l = self.rate(params)?;
@@ -798,6 +825,9 @@ impl ParamDist for Gamma {
     }
     fn is_discrete(&self) -> bool {
         false
+    }
+    fn draws_have_densities(&self) -> bool {
+        true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (k, theta) = self.shape_scale(params)?;
@@ -852,6 +882,9 @@ impl ParamDist for Beta {
     fn is_discrete(&self) -> bool {
         false
     }
+    fn draws_have_densities(&self) -> bool {
+        true
+    }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (a, b) = self.ab(params)?;
         let x = std_gamma(a, rng);
@@ -889,6 +922,9 @@ impl ParamDist for LogNormal {
     }
     fn is_discrete(&self) -> bool {
         false
+    }
+    fn draws_have_densities(&self) -> bool {
+        true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (mu, var) = Normal.moments(params)?;
@@ -943,6 +979,9 @@ impl ParamDist for Laplace {
     }
     fn is_discrete(&self) -> bool {
         false
+    }
+    fn draws_have_densities(&self) -> bool {
+        true
     }
     fn sample(&self, params: &[Value], rng: &mut dyn Rng) -> Result<Value, DistError> {
         let (mu, b) = self.loc_scale(params)?;
@@ -1260,6 +1299,51 @@ mod tests {
                 .zip(&batched_ld)
                 .all(|(a, b)| a.to_bits() == b.to_bits());
             assert!(same, "{name} log_density_batch diverged");
+        }
+    }
+
+    #[test]
+    fn every_standard_draw_has_a_density() {
+        // The promise behind `draws_have_densities`: a draw that succeeded
+        // under some parameters has an Ok, non-NaN density under them.
+        let reg = Registry::standard();
+        let cases: Vec<(&str, Vec<Value>)> = vec![
+            ("Flip", vec![Value::real(0.37)]),
+            ("Bernoulli", vec![Value::real(1.0)]),
+            (
+                "Categorical",
+                vec![
+                    Value::sym("a"),
+                    Value::real(1.0),
+                    Value::int(3),
+                    Value::real(0.0),
+                ],
+            ),
+            ("UniformInt", vec![Value::int(-3), Value::int(11)]),
+            ("Binomial", vec![Value::int(12), Value::real(0.3)]),
+            ("Geometric", vec![Value::real(0.25)]),
+            ("Poisson", vec![Value::real(4.5)]),
+            ("Uniform", vec![Value::real(2.0), Value::real(6.5)]),
+            ("Normal", vec![Value::real(1.5), Value::real(4.0)]),
+            ("Exponential", vec![Value::real(0.7)]),
+            ("Gamma", vec![Value::real(0.3), Value::real(1.5)]),
+            ("Beta", vec![Value::real(0.5), Value::real(0.5)]),
+            ("LogNormal", vec![Value::real(0.0), Value::real(2.0)]),
+            ("Laplace", vec![Value::real(-1.0), Value::real(0.5)]),
+        ];
+        assert_eq!(cases.len(), standard_members().len());
+        let mut rng = StdRng::seed_from_u64(5);
+        for (name, params) in cases {
+            let d = reg.get(name).expect("registered");
+            assert!(d.draws_have_densities(), "{name}");
+            for _ in 0..500 {
+                let x = d.sample(&params, &mut rng).expect("valid params");
+                let ld = d.log_density(&params, &x);
+                assert!(
+                    matches!(ld, Ok(ld) if !ld.is_nan()),
+                    "{name} at {x}: {ld:?}"
+                );
+            }
         }
     }
 

@@ -166,6 +166,17 @@ pub trait ParamDist: Send + Sync {
     /// the precondition for exact chase-tree enumeration.
     fn is_discrete(&self) -> bool;
 
+    /// Whether [`log_density`](ParamDist::log_density) is `Ok` on every
+    /// outcome [`sample`](ParamDist::sample) returns under the same
+    /// parameters — a successful draw has then checked everything its
+    /// density reads. Every standard member says so. The default `false`
+    /// makes the batched Monte-Carlo executor compute each drawn lane's
+    /// density, as the scalar chase does, so a member whose density can
+    /// fail on its own draws fails the same run in every executor.
+    fn draws_have_densities(&self) -> bool {
+        false
+    }
+
     /// Draws one outcome under `params`.
     ///
     /// # Errors

@@ -31,6 +31,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use gdatalog_data::{
@@ -74,6 +75,24 @@ pub struct SampleSpec {
     pub param_terms: Vec<DlTerm>,
 }
 
+/// Two sampling slots are equal when they name the same family — names
+/// are unique within the registry a program is compiled against — with
+/// equal parameter terms.
+impl PartialEq for SampleSpec {
+    fn eq(&self, other: &SampleSpec) -> bool {
+        self.dist.name() == other.dist.name() && self.param_terms == other.param_terms
+    }
+}
+
+impl Eq for SampleSpec {}
+
+impl Hash for SampleSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.dist.name().hash(state);
+        self.param_terms.hash(state);
+    }
+}
+
 impl fmt::Debug for SampleSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -107,7 +126,7 @@ pub struct ExistentialHead {
 /// likelihood of every soft observation (the density of the observed value
 /// under the distribution, once per valuation of the observation body),
 /// and the surviving mass is renormalized.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CompiledObserve {
     /// The world must contain this ground fact.
     Hard {

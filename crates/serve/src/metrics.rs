@@ -82,6 +82,16 @@ pub struct Metrics {
     pub mh_passes: u64,
     /// Mean MH chain acceptance rate, in micro-units (rate × 1e6).
     pub mean_accept_micro: u64,
+    /// Monte-Carlo and MH evaluations that found their chase tree's memo
+    /// kept by the served model ([`gdatalog_core::MemoStats`]; 0 from a
+    /// bare recorder).
+    pub memo_hits: u64,
+    /// Evaluations that started from an empty chase-tree memo.
+    pub memo_misses: u64,
+    /// Cells the kept chase-tree memos hold.
+    pub memo_cells: u64,
+    /// Chase-tree memos evicted for the memo store's budget.
+    pub memo_evictions: u64,
 }
 
 impl MetricsRecorder {
@@ -178,6 +188,10 @@ impl MetricsRecorder {
                 .load(Ordering::Relaxed)
                 .checked_div(self.mh_passes.load(Ordering::Relaxed))
                 .unwrap_or(0),
+            memo_hits: 0,
+            memo_misses: 0,
+            memo_cells: 0,
+            memo_evictions: 0,
         }
     }
 }
@@ -219,7 +233,8 @@ impl Metrics {
              \"admission_rejections\":{},\"latency_us\":{{\"mean\":{},\
              \"p50\":{},\"p99\":{}}},\"inference\":{{\
              \"conditioned_passes\":{},\"mean_ess\":{},\
-             \"mh_passes\":{},\"mean_accept_rate\":{}}}}}",
+             \"mh_passes\":{},\"mean_accept_rate\":{}}},\"memo_hits\":{},\
+             \"memo_misses\":{},\"memo_cells\":{},\"memo_evictions\":{}}}",
             self.requests,
             self.errors,
             self.deadline_rejections,
@@ -231,6 +246,10 @@ impl Metrics {
             self.mean_ess_micro as f64 / 1e6,
             self.mh_passes,
             self.mean_accept_micro as f64 / 1e6,
+            self.memo_hits,
+            self.memo_misses,
+            self.memo_cells,
+            self.memo_evictions,
         )
     }
 }
@@ -316,9 +335,27 @@ mod tests {
     fn json_snapshot_is_well_formed() {
         let r = MetricsRecorder::new();
         r.record_request(Duration::from_micros(5), true);
-        let json = r.snapshot().to_json();
-        let parsed = crate::json::Json::parse(&json).unwrap();
+        let metrics = Metrics {
+            memo_hits: 3,
+            memo_misses: 2,
+            memo_cells: 640,
+            memo_evictions: 1,
+            ..r.snapshot()
+        };
+        let parsed = crate::json::Json::parse(&metrics.to_json()).unwrap();
         assert_eq!(parsed.get("requests").and_then(|v| v.as_u64()), Some(1));
         assert!(parsed.get("latency_us").is_some());
+        for (member, value) in [
+            ("memo_hits", 3),
+            ("memo_misses", 2),
+            ("memo_cells", 640),
+            ("memo_evictions", 1),
+        ] {
+            assert_eq!(
+                parsed.get(member).and_then(|v| v.as_u64()),
+                Some(value),
+                "{member}"
+            );
+        }
     }
 }

@@ -37,30 +37,19 @@ use crate::pool::SessionPool;
 use crate::request::{fact_text, QueryKind, Reply, Request, Response};
 use crate::ServeError;
 
-/// Resolves one wire query against the program catalog into the core
-/// query IR — name resolution and spec validation happen here, once,
-/// before any backend work.
+/// Resolves one wire query's names against the program catalog into the
+/// core query IR. Its columns and bounds are the library's to check
+/// ([`QuerySet::validate`], run by [`execute_on`]), so the wire rejects a
+/// bad query with the library's reason.
 ///
 /// # Errors
-/// [`ServeError::BadRequest`] for unresolvable names or malformed specs.
+/// [`ServeError::BadRequest`] for unresolvable names or malformed facts.
 fn compile_query(kind: &QueryKind, program: &CompiledProgram) -> Result<QueryIr, ServeError> {
     let resolve = |name: &str| {
         program
             .catalog
             .require(name)
             .map_err(|e| ServeError::BadRequest(format!("{e}")))
-    };
-    // Resolves the relation and checks the column in one step, so the
-    // quantile/tail/histogram arms resolve each name exactly once.
-    let resolve_col = |name: &str, col: usize| -> Result<gdatalog_data::RelId, ServeError> {
-        let rel = resolve(name)?;
-        let arity = program.catalog.decl(rel).arity();
-        if col >= arity {
-            return Err(ServeError::BadRequest(format!(
-                "column {col} out of range (arity {arity})"
-            )));
-        }
-        Ok(rel)
     };
     match kind {
         QueryKind::Marginal { fact } => {
@@ -93,7 +82,7 @@ fn compile_query(kind: &QueryKind, program: &CompiledProgram) -> Result<QueryIr,
         }
         QueryKind::Expectation { rel, agg, col } => {
             let query = match *col {
-                Some(c) => Query::Rel(resolve_col(rel, c)?).project(vec![c]),
+                Some(c) => Query::Rel(resolve(rel)?).project(vec![c]),
                 None => Query::Rel(resolve(rel)?),
             };
             Ok(QueryIr::Expectation { query, agg: *agg })
@@ -104,55 +93,27 @@ fn compile_query(kind: &QueryKind, program: &CompiledProgram) -> Result<QueryIr,
             lo,
             hi,
             bins,
-        } => {
-            let rel = resolve_col(rel, *col)?;
-            // Finiteness required: JSON can smuggle ±∞ in via `1e999`, and
-            // an infinite range breaks the bin-width arithmetic. NaN fails
-            // `is_finite` too.
-            if !lo.is_finite() || !hi.is_finite() || lo >= hi || *bins == 0 {
-                return Err(ServeError::BadRequest(format!(
-                    "invalid histogram spec: need finite lo < hi and bins > 0 \
-                     (got lo {lo}, hi {hi}, bins {bins})"
-                )));
-            }
-            Ok(QueryIr::Histogram {
-                rel,
-                col: *col,
-                lo: *lo,
-                hi: *hi,
-                bins: *bins,
-            })
-        }
-        QueryKind::Quantile { rel, col, q } => {
-            let rel = resolve_col(rel, *col)?;
-            if !(0.0..=1.0).contains(q) {
-                return Err(ServeError::BadRequest(format!(
-                    "invalid quantile spec: need q in [0, 1], got {q}"
-                )));
-            }
-            Ok(QueryIr::Quantile {
-                rel,
-                col: *col,
-                q: *q,
-            })
-        }
+        } => Ok(QueryIr::Histogram {
+            rel: resolve(rel)?,
+            col: *col,
+            lo: *lo,
+            hi: *hi,
+            bins: *bins,
+        }),
+        QueryKind::Quantile { rel, col, q } => Ok(QueryIr::Quantile {
+            rel: resolve(rel)?,
+            col: *col,
+            q: *q,
+        }),
         QueryKind::Tail {
             rel,
             col,
             threshold,
-        } => {
-            let rel = resolve_col(rel, *col)?;
-            if threshold.is_nan() {
-                return Err(ServeError::BadRequest(
-                    "invalid tail spec: threshold must not be NaN".to_string(),
-                ));
-            }
-            Ok(QueryIr::Tail {
-                rel,
-                col: *col,
-                threshold: *threshold,
-            })
-        }
+        } => Ok(QueryIr::Tail {
+            rel: resolve(rel)?,
+            col: *col,
+            threshold: *threshold,
+        }),
     }
 }
 
@@ -196,6 +157,12 @@ pub fn execute_on(session: &mut Session, request: &Request) -> Result<Reply, Ser
     for kind in &request.queries {
         queries.push(compile_query(kind, program)?);
     }
+    // The library's check, before any backend work: a bad column or bound
+    // is the client's error, with the reason `Evaluation::answer` gives.
+    queries.validate(program).map_err(|e| match e {
+        EngineError::InvalidRequest(reason) => ServeError::BadRequest(reason),
+        e => ServeError::Engine(e),
+    })?;
     let mut eval = session.eval().with_spec(request.spec);
     if let Some(given) = &request.given {
         eval = eval.given(given.clone());
@@ -424,9 +391,17 @@ impl Server {
     }
 
     /// A point-in-time metrics snapshot (per-request timings, error and
-    /// rejection counters).
+    /// rejection counters, and the served model's chase-tree memo
+    /// counters).
     pub fn metrics(&self) -> Metrics {
-        self.metrics.snapshot()
+        let memo = self.model().engine().memo_stats();
+        Metrics {
+            memo_hits: memo.hits,
+            memo_misses: memo.misses,
+            memo_cells: memo.cells,
+            memo_evictions: memo.evictions,
+            ..self.metrics.snapshot()
+        }
     }
 
     /// Answers one request (equivalent to a batch of one).

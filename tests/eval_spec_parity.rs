@@ -300,3 +300,50 @@ fn accepted_wire_rows_parse_to_the_library_chains_spec() {
         );
     }
 }
+
+/// The checks that depend on the program — a column within the
+/// relation's arity, histogram bounds, the quantile range, the tail
+/// threshold — live in the library's `QuerySet::validate` alone: the wire
+/// answers a bad query as a bad request (400) with the library's reason.
+#[test]
+fn a_bad_query_is_rejected_with_the_librarys_reason_on_the_wire() {
+    let s = session(DISCRETE);
+    let quake = s.program().catalog.require("Earthquake").unwrap();
+    let rows: Vec<(Request, QuerySet)> = vec![
+        (
+            Request::histogram("Earthquake", 1, 2.0, 0.0, 4),
+            QuerySet::new().histogram(quake, 1, 2.0, 0.0, 4),
+        ),
+        (
+            Request::histogram("Earthquake", 1, 0.0, f64::INFINITY, 4),
+            QuerySet::new().histogram(quake, 1, 0.0, f64::INFINITY, 4),
+        ),
+        (
+            Request::histogram("Earthquake", 1, 0.0, 2.0, 0),
+            QuerySet::new().histogram(quake, 1, 0.0, 2.0, 0),
+        ),
+        (
+            Request::quantile("Earthquake", 1, 1.5),
+            QuerySet::new().quantile(quake, 1, 1.5),
+        ),
+        (
+            Request::tail("Earthquake", 1, f64::NAN),
+            QuerySet::new().tail(quake, 1, f64::NAN),
+        ),
+        (
+            Request::quantile("Earthquake", 7, 0.5),
+            QuerySet::new().quantile(quake, 7, 0.5),
+        ),
+    ];
+    let server = gdatalog::serve::Server::from_source(DISCRETE, SemanticsMode::Grohe).unwrap();
+    for (request, queries) in rows {
+        let library = match s.eval().answer(&queries) {
+            Err(EngineError::InvalidRequest(reason)) => reason,
+            other => panic!("expected an invalid request, got {other:?}"),
+        };
+        match server.execute(&request.input(INPUT)) {
+            Err(ServeError::BadRequest(reason)) => assert_eq!(reason, library),
+            other => panic!("{library}: expected a bad request, got {other:?}"),
+        }
+    }
+}

@@ -174,3 +174,34 @@ fn cache_hit_returns_identical_plan_pointer() {
         }
     );
 }
+
+/// The served model keeps the chase-tree memo of a repeated request's
+/// tree, which `/v1/stats` reports: the third sighting of one keyed
+/// Monte-Carlo request hits it with an unchanged answer, and a request
+/// with a fresh input misses.
+#[test]
+fn repeated_keyed_requests_hit_the_memo_and_fresh_inputs_miss() {
+    let server = Server::from_source(MODEL, SemanticsMode::Grohe).unwrap();
+    let request = |input: &str| {
+        Request::marginal("Alarm(gotham)")
+            .evidence(input)
+            .mc(2_000)
+            .seed(5)
+    };
+    let keyed = request("City(gotham, 0.3).");
+    let first = server.execute(&keyed).unwrap();
+    for _ in 0..2 {
+        assert_eq!(server.execute(&keyed).unwrap(), first);
+    }
+    let m = server.metrics();
+    assert_eq!(
+        (m.memo_hits, m.memo_misses),
+        (1, 2),
+        "kept on the second sighting"
+    );
+    assert!(m.memo_cells > 0);
+    server.execute(&request("City(gotham, 0.4).")).unwrap();
+    let m = server.metrics();
+    assert_eq!((m.memo_hits, m.memo_misses), (1, 3), "a fresh input misses");
+    assert_eq!(m.memo_evictions, 0);
+}

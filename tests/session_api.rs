@@ -316,6 +316,30 @@ fn trace_equivalence_with_run_sequential() {
 }
 
 #[test]
+fn trace_rejects_a_variant_it_would_not_trace() {
+    let engine = Engine::from_source(BURGLARY, SemanticsMode::Grohe).unwrap();
+    for variant in [ChaseVariant::Parallel, ChaseVariant::Saturating] {
+        for eval in [engine.eval().sample(10), engine.eval()] {
+            match eval.variant(variant).seed(3).trace() {
+                Err(EngineError::InvalidRequest(reason)) => assert!(
+                    reason.contains(&format!("the {variant:?} chase variant"))
+                        && reason.contains(".sample(n)"),
+                    "{reason}"
+                ),
+                other => panic!("{variant:?}: expected an invalid request, got {other:?}"),
+            }
+        }
+    }
+    // A sequential variant is the chase the trace records.
+    let sequential = ChaseVariant::Sequential(PolicyKind::Canonical);
+    let traced = engine.eval().sample(10).variant(sequential).seed(3).trace();
+    assert_eq!(
+        traced.unwrap().steps,
+        engine.eval().seed(3).trace().unwrap().steps
+    );
+}
+
+#[test]
 fn streaming_marginal_agrees_with_materialized_pdb() {
     let engine = Engine::from_source(BURGLARY, SemanticsMode::Grohe).unwrap();
     let alarm = engine.program().catalog.require("Alarm").unwrap();
